@@ -21,13 +21,6 @@ Status ValidateColumn(const storage::Column& column, uint64_t m) {
   return Status::OK();
 }
 
-std::vector<uint64_t> BlockSizes(const storage::Column& column) {
-  std::vector<uint64_t> sizes;
-  sizes.reserve(column.num_blocks());
-  for (const auto& b : column.blocks()) sizes.push_back(b->size());
-  return sizes;
-}
-
 }  // namespace
 
 Result<BaselineResult> UniformSamplingAvg(const storage::Column& column,
@@ -35,7 +28,7 @@ Result<BaselineResult> UniformSamplingAvg(const storage::Column& column,
   ISLA_RETURN_NOT_OK(ValidateColumn(column, m));
   Xoshiro256 rng(seed);
   std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(BlockSizes(column), m);
+      sampling::ProportionalAllocation(column.BlockSizes(), m);
   stats::StreamingMoments moments;
   for (size_t j = 0; j < column.num_blocks(); ++j) {
     if (alloc[j] == 0) continue;
@@ -53,7 +46,7 @@ Result<BaselineResult> StratifiedSamplingAvg(const storage::Column& column,
                                              uint64_t m, uint64_t seed) {
   ISLA_RETURN_NOT_OK(ValidateColumn(column, m));
   Xoshiro256 rng(seed);
-  std::vector<uint64_t> sizes = BlockSizes(column);
+  std::vector<uint64_t> sizes = column.BlockSizes();
   std::vector<uint64_t> alloc = sampling::ProportionalAllocation(sizes, m);
 
   stats::CompensatedSum weighted;
@@ -87,7 +80,7 @@ Result<BaselineResult> StratifiedNeymanAvg(const storage::Column& column,
     return Status::InvalidArgument("Neyman pilot needs >= 2 samples/block");
   }
   Xoshiro256 rng(seed);
-  std::vector<uint64_t> sizes = BlockSizes(column);
+  std::vector<uint64_t> sizes = column.BlockSizes();
 
   std::vector<double> sigmas(column.num_blocks(), 0.0);
   for (size_t j = 0; j < column.num_blocks(); ++j) {
@@ -126,7 +119,7 @@ Result<BaselineResult> MeasureBiasedAvg(const storage::Column& column,
   ISLA_RETURN_NOT_OK(ValidateColumn(column, m));
   Xoshiro256 rng(seed);
   std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(BlockSizes(column), m);
+      sampling::ProportionalAllocation(column.BlockSizes(), m);
   stats::CompensatedSum sum;
   stats::CompensatedSum sum_sq;
   uint64_t used = 0;
@@ -157,7 +150,7 @@ Result<BaselineResult> MeasureBiasedBoundariesAvg(
   ISLA_RETURN_NOT_OK(ValidateColumn(column, m));
   Xoshiro256 rng(seed);
   std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(BlockSizes(column), m);
+      sampling::ProportionalAllocation(column.BlockSizes(), m);
 
   // Per-region Σa and Σa², indexed by Region.
   struct RegionAcc {
@@ -209,7 +202,7 @@ Result<core::DataBoundaries> PilotBoundaries(const storage::Column& column,
   ISLA_RETURN_NOT_OK(ValidateColumn(column, pilot_m));
   Xoshiro256 rng(seed);
   std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(BlockSizes(column), pilot_m);
+      sampling::ProportionalAllocation(column.BlockSizes(), pilot_m);
   stats::StreamingMoments pilot;
   for (size_t j = 0; j < column.num_blocks(); ++j) {
     if (alloc[j] == 0) continue;

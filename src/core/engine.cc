@@ -1,7 +1,5 @@
 #include "core/engine.h"
 
-#include <cmath>
-
 #include "core/summarizer.h"
 #include "runtime/kernels/kernels.h"
 #include "runtime/parallel_for.h"
@@ -10,22 +8,6 @@
 
 namespace isla {
 namespace core {
-
-namespace {
-
-/// The negative-data translation d (footnote 1): data are shifted to the
-/// positive axis before leveraging. The margin of 3σ̂ past the observed
-/// pilot minimum makes unseen negative tail values positive w.h.p.
-double ComputeShift(double min_value, double sigma) {
-  if (min_value > 0.0) return 0.0;
-  return -min_value + 3.0 * sigma + 1.0;
-}
-
-/// Domain-separation salt for the Calculation phase: per-block streams must
-/// not collide with the pilot stream derived from (seed, salt) alone.
-constexpr uint64_t kCalcPhaseSalt = 0xca1cULL;
-
-}  // namespace
 
 Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
                                                  uint64_t seed_salt) const {
@@ -80,11 +62,8 @@ Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
   // derived from (seed, salt, block index), so the partials — and therefore
   // the final answer — are bit-identical for every parallelism setting.
   const size_t num_blocks = column.num_blocks();
-  std::vector<uint64_t> sizes;
-  sizes.reserve(num_blocks);
-  for (const auto& b : column.blocks()) sizes.push_back(b->size());
-  std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(sizes, pilot.target_sample_size);
+  std::vector<uint64_t> alloc = sampling::ProportionalAllocation(
+      column.BlockSizes(), pilot.target_sample_size);
 
   std::vector<BlockReport> reports(num_blocks);
   ISLA_RETURN_NOT_OK(runtime::ParallelFor(

@@ -53,10 +53,12 @@ struct AggregateResult {
 /// core/noniid.h; incremental refinement uses core/online.h.
 ///
 /// The Calculation phase runs blocks concurrently across
-/// options().parallelism threads (blocks are independent shards). Every
-/// block draws from its own RNG stream — SplitMix64::Hash(seed, salt,
-/// block_index) — so the answer is bit-identical for any thread count,
-/// including 1.
+/// options().parallelism threads (blocks are independent shards). In every
+/// sampling phase each block draws from its own RNG stream (see
+/// kSigmaPilotSalt) and per-block results merge in block order, so the
+/// answer is bit-identical for any thread count, including 1 — and to
+/// distributed::Coordinator::AggregateAvg(seed_salt) over one shard per
+/// block.
 ///
 /// Thread-compatible: one engine may serve concurrent Aggregate calls, each
 /// call deriving its own RNG stream from options().seed and the call's salt.

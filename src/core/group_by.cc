@@ -435,9 +435,7 @@ Result<GroupedAggregateResult> GroupByEngine::Aggregate(
 
   const storage::Column& values = *spec.values;
   const size_t num_blocks = values.num_blocks();
-  std::vector<uint64_t> sizes;
-  sizes.reserve(num_blocks);
-  for (const auto& b : values.blocks()) sizes.push_back(b->size());
+  const std::vector<uint64_t> sizes = values.BlockSizes();
 
   auto block_of = [](const storage::Column* col, size_t j) {
     return col == nullptr ? nullptr : col->blocks()[j].get();

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "core/options.h"
 #include "runtime/scratch_arena.h"
+#include "stats/moments.h"
 #include "stats/sketch.h"
 #include "storage/table.h"
 #include "util/rng.h"
@@ -37,45 +38,9 @@ bool EvalPredicate(PredicateOp op, double lhs, double rhs);
 void EvalPredicateMask(PredicateOp op, std::span<const double> lhs,
                        double rhs, uint8_t* mask);
 
-/// Reduced mergeable moments of one group: Welford's (n, mean, M2). Unlike
-/// stats::StreamingMoments this carries no compensated power sums, so the
-/// exact same state crosses the distributed wire — merging decoded partials
-/// is bit-identical to merging local ones.
-struct GroupMoments {
-  uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;  // Welford sum of squared deviations
-
-  void Add(double v) {
-    ++n;
-    double delta = v - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (v - mean);
-  }
-
-  /// Chan's parallel combination. Merge order must be deterministic (block
-  /// order) for bit-identical results.
-  void Merge(const GroupMoments& other) {
-    if (other.n == 0) return;
-    if (n == 0) {
-      *this = other;
-      return;
-    }
-    double na = static_cast<double>(n);
-    double nb = static_cast<double>(other.n);
-    double delta = other.mean - mean;
-    mean += delta * nb / (na + nb);
-    m2 += other.m2 + delta * delta * na * nb / (na + nb);
-    n += other.n;
-  }
-
-  /// Unbiased sample variance; 0 when n < 2.
-  double Variance() const {
-    if (n < 2) return 0.0;
-    double var = m2 / static_cast<double>(n - 1);
-    return var < 0.0 ? 0.0 : var;
-  }
-};
+/// Reduced mergeable moments of one group (and of one pilot draw):
+/// Welford's (n, mean, M2), the state that crosses the distributed wire.
+using GroupMoments = stats::WelfordMoments;
 
 /// Keys are the raw doubles of the GROUP BY column, compared exactly; the
 /// ordered map makes every merge and summarization iteration deterministic.

@@ -1,12 +1,8 @@
 #include "core/online.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/summarizer.h"
 #include "runtime/kernels/kernels.h"
 #include "sampling/samplers.h"
-#include "stats/confidence.h"
 
 namespace isla {
 namespace core {
@@ -31,10 +27,9 @@ Result<AggregateResult> OnlineAggregator::Start() {
     return Status::FailedPrecondition(
         "online mode requires non-constant data");
   }
-  shift_ = pilot_.min_value > 0.0
-               ? 0.0
-               : -pilot_.min_value + 3.0 * pilot_.sigma + 1.0;
+  shift_ = ComputeShift(pilot_.min_value, pilot_.sigma);
   sketch0_shifted_ = pilot_.sketch0 + shift_;
+  sketch_ = {pilot_.sketch_pilot_samples, pilot_.sketch0, 0.0};
   block_params_.resize(column_->num_blocks());
   for (size_t j = 0; j < column_->num_blocks(); ++j) {
     block_params_[j].block_rows = column_->blocks()[j]->size();
@@ -53,35 +48,27 @@ Result<AggregateResult> OnlineAggregator::Refine(double new_precision) {
         "refinement precision must be positive and tighter than the current "
         "precision");
   }
+  IslaOptions refined = options_;
+  refined.precision = new_precision;
   ISLA_ASSIGN_OR_RETURN(
-      uint64_t m_new,
-      stats::RequiredSampleSize(pilot_.sigma, new_precision,
-                                options_.confidence));
-  double scaled =
-      std::ceil(static_cast<double>(m_new) * options_.sampling_rate_scale);
-  m_new = static_cast<uint64_t>(scaled);
-  uint64_t additional = m_new > total_samples_ ? m_new - total_samples_ : 0;
+      SampleSizes sizes,
+      PlanSampleSizes(pilot_.sigma, refined, column_->num_rows()));
+  const uint64_t additional =
+      sizes.target > total_samples_ ? sizes.target - total_samples_ : 0;
   current_precision_ = new_precision;
-  options_.precision = new_precision;  // Tightens the iteration threshold.
+  options_ = refined;  // Tightens the iteration threshold.
 
-  // Top up the sketch pilot to the new relaxed precision t_e·e.
-  ISLA_ASSIGN_OR_RETURN(
-      uint64_t m_sketch,
-      stats::RequiredSampleSize(pilot_.sigma,
-                                options_.sketch_relaxation * new_precision,
-                                options_.confidence));
-  uint64_t have = pilot_.sketch_pilot_samples + sketch_refine_.count();
-  if (m_sketch > have) {
-    uint64_t want = std::min<uint64_t>(m_sketch - have, column_->num_rows());
-    std::vector<uint64_t> sizes;
-    for (const auto& b : column_->blocks()) sizes.push_back(b->size());
-    std::vector<uint64_t> alloc =
-        sampling::ProportionalAllocation(sizes, want);
+  // Top up the sketch pilot to the new relaxed precision t_e·e, each block
+  // on its own stream of a fresh phase seed.
+  if (sizes.sketch_pilot > sketch_.n) {
+    const std::vector<uint64_t> alloc = sampling::ProportionalAllocation(
+        column_->BlockSizes(), sizes.sketch_pilot - sketch_.n);
+    const uint64_t phase_seed = rng_.Next();
     for (size_t j = 0; j < column_->num_blocks(); ++j) {
-      if (alloc[j] == 0) continue;
-      ISLA_RETURN_NOT_OK(sampling::SampleBlockValues(
-          *column_->blocks()[j], alloc[j],
-          [&](double v) { sketch_refine_.Add(v); }, &rng_));
+      ISLA_ASSIGN_OR_RETURN(
+          PilotDraw draw,
+          DrawBlockPilot(*column_->blocks()[j], alloc[j], phase_seed, j));
+      sketch_.Merge(draw.moments);
     }
   }
   return SampleAndSolve(additional);
@@ -100,11 +87,8 @@ Result<AggregateResult> OnlineAggregator::SampleAndSolve(
       DataBoundaries boundaries,
       DataBoundaries::Create(sketch0_shifted_, pilot_.sigma, options_.p1,
                              options_.p2));
-  std::vector<uint64_t> sizes;
-  sizes.reserve(column_->num_blocks());
-  for (const auto& b : column_->blocks()) sizes.push_back(b->size());
-  std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(sizes, additional_samples);
+  std::vector<uint64_t> alloc = sampling::ProportionalAllocation(
+      column_->BlockSizes(), additional_samples);
   for (size_t j = 0; j < column_->num_blocks(); ++j) {
     if (alloc[j] == 0) continue;
     BlockParams round;
@@ -117,29 +101,19 @@ Result<AggregateResult> OnlineAggregator::SampleAndSolve(
   return Solve();
 }
 
-double OnlineAggregator::RefinedSketchShifted() const {
-  double n0 = static_cast<double>(pilot_.sketch_pilot_samples);
-  double n1 = static_cast<double>(sketch_refine_.count());
-  if (n1 == 0.0) return sketch0_shifted_;
-  double pooled =
-      (pilot_.sketch0 * n0 + sketch_refine_.sum()) / (n0 + n1);
-  return pooled + shift_;
-}
-
 Result<AggregateResult> OnlineAggregator::Solve() const {
   AggregateResult res;
   res.data_size = column_->num_rows();
   res.precision = current_precision_;
   res.confidence = options_.confidence;
   res.sigma_estimate = pilot_.sigma;
-  res.sketch0 = pilot_.sketch0;
+  res.sketch0 = sketch_.mean;  // the pilot pooled with every top-up
   res.shift = shift_;
   res.pilot_samples = pilot_.sigma_pilot_samples + pilot_.sketch_pilot_samples;
   res.total_samples = total_samples_;
   res.kernel_dispatch = runtime::kernels::ActiveLevelName();
 
-  const double sketch_iter = RefinedSketchShifted();
-  res.sketch0 = sketch_iter - shift_;
+  const double sketch_iter = sketch_.mean + shift_;
 
   std::vector<double> partials;
   std::vector<uint64_t> partial_sizes;

@@ -64,15 +64,13 @@ class OnlineAggregator {
   bool started_ = false;
   PilotEstimate pilot_;
   double shift_ = 0.0;
-  double sketch0_shifted_ = 0.0;        // Frozen: defines the boundaries.
-  stats::StreamingMoments sketch_refine_;  // Extra pilot rounds (unshifted).
+  double sketch0_shifted_ = 0.0;  // Frozen: defines the boundaries.
+  /// Sketch pilot pooled with every refinement top-up (unshifted); its
+  /// mean is the sketch entering the iteration phase.
+  GroupMoments sketch_;
   std::vector<BlockParams> block_params_;
   uint64_t total_samples_ = 0;
   double current_precision_ = 0.0;
-
-  /// The sketch value used by the iteration phase: the initial pilot mean
-  /// pooled with all refinement pilot samples, in the shifted domain.
-  double RefinedSketchShifted() const;
 };
 
 }  // namespace core

@@ -2,50 +2,71 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "runtime/kernels/kernels.h"
 #include "sampling/samplers.h"
 #include "stats/confidence.h"
-#include "stats/moments.h"
 
 namespace isla {
 namespace core {
 
-namespace {
-
-/// Draws `m` samples across the column's blocks, proportionally to block
-/// sizes, folding every value into `moments` and tracking the minimum.
-Status DrawProportionalPilot(const storage::Column& column, uint64_t m,
-                             Xoshiro256* rng, stats::StreamingMoments* moments,
-                             double* min_value,
-                             runtime::ScratchArena* scratch) {
-  std::vector<uint64_t> sizes;
-  sizes.reserve(column.num_blocks());
-  for (const auto& b : column.blocks()) sizes.push_back(b->size());
-  std::vector<uint64_t> alloc = sampling::ProportionalAllocation(sizes, m);
-  for (size_t i = 0; i < alloc.size(); ++i) {
-    if (alloc[i] == 0) continue;
-    sampling::BlockSampleStream stream(*column.blocks()[i], alloc[i], rng,
-                                       scratch);
-    std::span<const double> batch;
-    for (;;) {
-      ISLA_RETURN_NOT_OK(stream.Next(&batch));
-      if (batch.empty()) break;
-      for (double v : batch) moments->Add(v);
-      // Min runs as a separate vectorized pass: it is order-insensitive
-      // over a batch (NaN-ignoring), so splitting it from the inherently
-      // sequential Welford fold costs nothing and vectorizes fully.
-      const double batch_min =
-          runtime::kernels::Ops().min(batch.data(), batch.size());
-      if (batch_min < *min_value) *min_value = batch_min;
-    }
+Result<PilotDraw> DrawBlockPilot(const storage::Block& block, uint64_t count,
+                                 uint64_t phase_seed, uint64_t index,
+                                 runtime::ScratchArena* scratch) {
+  PilotDraw draw;
+  count = std::min<uint64_t>(count, block.size());
+  if (count == 0) return draw;
+  Xoshiro256 rng(SplitMix64::Hash(phase_seed, index));
+  sampling::BlockSampleStream stream(block, count, &rng, scratch);
+  std::span<const double> batch;
+  for (;;) {
+    ISLA_RETURN_NOT_OK(stream.Next(&batch));
+    if (batch.empty()) break;
+    for (double v : batch) draw.moments.Add(v);
+    // Min runs as a separate vectorized pass: it is order-insensitive
+    // over a batch (NaN-ignoring), so splitting it from the inherently
+    // sequential Welford fold costs nothing and vectorizes fully.
+    const double batch_min =
+        runtime::kernels::Ops().min(batch.data(), batch.size());
+    if (batch_min < draw.min_value) draw.min_value = batch_min;
   }
-  return Status::OK();
+  return draw;
 }
 
-}  // namespace
+uint64_t SigmaPilotShare(const IslaOptions& options, uint64_t n_blocks) {
+  return std::max<uint64_t>(
+      2, options.sigma_pilot_size / std::max<uint64_t>(1, n_blocks));
+}
+
+Result<SampleSizes> PlanSampleSizes(double sigma, const IslaOptions& options,
+                                    uint64_t data_size) {
+  SampleSizes sizes;
+  if (!(sigma > 0.0)) {
+    sizes.target = std::min<uint64_t>(2, data_size);
+    return sizes;
+  }
+  ISLA_ASSIGN_OR_RETURN(
+      uint64_t m_sketch,
+      stats::RequiredSampleSize(sigma,
+                                options.sketch_relaxation * options.precision,
+                                options.confidence));
+  ISLA_ASSIGN_OR_RETURN(
+      uint64_t m, stats::RequiredSampleSize(sigma, options.precision,
+                                            options.confidence));
+  // Table V's r/3 runs scale the main pass only.
+  const double scaled =
+      std::ceil(static_cast<double>(m) * options.sampling_rate_scale);
+  sizes.sketch_pilot = std::min<uint64_t>(m_sketch, data_size);
+  sizes.target =
+      std::min<uint64_t>(static_cast<uint64_t>(scaled), data_size);
+  return sizes;
+}
+
+double ComputeShift(double min_value, double sigma) {
+  if (min_value > 0.0) return 0.0;
+  return -min_value + 3.0 * sigma + 1.0;
+}
 
 Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
                                        const IslaOptions& options,
@@ -56,52 +77,53 @@ Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
   if (column.num_rows() == 0) {
     return Status::FailedPrecondition("cannot aggregate an empty column");
   }
+  const uint64_t base = rng->Next();
+  const size_t n_blocks = column.num_blocks();
 
-  PilotEstimate out;
-  out.min_value = std::numeric_limits<double>::infinity();
+  // Draws one phase block by block, merging in block order.
+  auto draw_phase =
+      [&](uint64_t phase_salt,
+          const std::vector<uint64_t>& shares) -> Result<PilotDraw> {
+    const uint64_t phase_seed = SplitMix64::Hash(base, phase_salt);
+    PilotDraw merged;
+    for (size_t j = 0; j < n_blocks; ++j) {
+      ISLA_ASSIGN_OR_RETURN(PilotDraw draw,
+                            DrawBlockPilot(*column.blocks()[j], shares[j],
+                                           phase_seed, j, scratch));
+      merged.Merge(draw);
+    }
+    return merged;
+  };
 
   // Stage 1: σ pilot (system-specified size, §III-A).
-  uint64_t sigma_pilot =
-      std::min<uint64_t>(options.sigma_pilot_size, column.num_rows());
-  stats::StreamingMoments sigma_moments;
-  ISLA_RETURN_NOT_OK(DrawProportionalPilot(column, sigma_pilot, rng,
-                                           &sigma_moments, &out.min_value,
-                                           scratch));
-  out.sigma_pilot_samples = sigma_moments.count();
-  out.sigma = std::sqrt(sigma_moments.Variance());
+  ISLA_ASSIGN_OR_RETURN(
+      PilotDraw sigma_draw,
+      draw_phase(kSigmaPilotSalt,
+                 std::vector<uint64_t>(n_blocks,
+                                       SigmaPilotShare(options, n_blocks))));
+  PilotEstimate out;
+  out.sigma_pilot_samples = sigma_draw.moments.n;
+  out.sigma = std::sqrt(sigma_draw.moments.Variance());
+  out.min_value = sigma_draw.min_value;
+  ISLA_ASSIGN_OR_RETURN(SampleSizes sizes,
+                        PlanSampleSizes(out.sigma, options, column.num_rows()));
 
   // Stage 2: sketch pilot at the relaxed precision t_e·e (§III-B). With a
   // degenerate σ̂ the sketch pilot reuses the σ pilot's mean.
-  double relaxed = options.sketch_relaxation * options.precision;
+  out.sketch0 = sigma_draw.moments.mean;
   if (out.sigma > 0.0) {
     ISLA_ASSIGN_OR_RETURN(
-        uint64_t m_sketch,
-        stats::RequiredSampleSize(out.sigma, relaxed, options.confidence));
-    m_sketch = std::min<uint64_t>(m_sketch, column.num_rows());
-    stats::StreamingMoments sketch_moments;
-    ISLA_RETURN_NOT_OK(DrawProportionalPilot(column, m_sketch, rng,
-                                             &sketch_moments, &out.min_value,
-                                             scratch));
-    out.sketch_pilot_samples = sketch_moments.count();
-    out.sketch0 = sketch_moments.Mean();
-  } else {
-    out.sketch_pilot_samples = 0;
-    out.sketch0 = sigma_moments.Mean();
+        PilotDraw sketch_draw,
+        draw_phase(kSketchPilotSalt,
+                   sampling::ProportionalAllocation(column.BlockSizes(),
+                                                    sizes.sketch_pilot)));
+    out.sketch_pilot_samples = sketch_draw.moments.n;
+    out.sketch0 = sketch_draw.moments.mean;
+    out.min_value = std::min(out.min_value, sketch_draw.min_value);
   }
 
   // Main-pass sizing (Eq. 1), scaled by sampling_rate_scale (Table V's r/3).
-  if (out.sigma > 0.0) {
-    ISLA_ASSIGN_OR_RETURN(uint64_t m,
-                          stats::RequiredSampleSize(
-                              out.sigma, options.precision,
-                              options.confidence));
-    double scaled = std::ceil(static_cast<double>(m) *
-                              options.sampling_rate_scale);
-    out.target_sample_size = std::min<uint64_t>(
-        static_cast<uint64_t>(scaled), column.num_rows());
-  } else {
-    out.target_sample_size = std::min<uint64_t>(2, column.num_rows());
-  }
+  out.target_sample_size = sizes.target;
   out.sampling_rate = static_cast<double>(out.target_sample_size) /
                       static_cast<double>(column.num_rows());
   return out;

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <limits>
 
+#include "core/pre_estimation.h"
 #include "core/summarizer.h"
 #include "runtime/parallel_for.h"
 #include "sampling/samplers.h"
-#include "stats/confidence.h"
 #include "util/rng.h"
 
 namespace isla {
@@ -29,152 +29,22 @@ Result<std::string> LoopbackTransport::Call(uint64_t worker_id,
 Coordinator::Coordinator(Transport* transport, core::IslaOptions options)
     : transport_(transport), options_(options) {}
 
-Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
-  if (transport_ == nullptr || transport_->size() == 0) {
-    return Status::FailedPrecondition("no workers attached");
-  }
-  ISLA_RETURN_NOT_OK(options_.Validate());
-  const size_t n_workers = transport_->size();
-
-  // --- Phase 1: pilot broadcast. Pool the Welford fragments with Chan's
-  // formula to get the global σ̂ and pilot mean.
-  PilotRequest pilot_req;
-  pilot_req.query_id = query_id;
-  pilot_req.sample_count =
-      std::max<uint64_t>(2, options_.sigma_pilot_size / n_workers);
-  pilot_req.seed = SplitMix64::Hash(options_.seed, query_id);
-
-  std::vector<uint64_t> shard_rows(n_workers, 0);
-  double pooled_mean = 0.0;
-  double pooled_m2 = 0.0;
-  uint64_t pooled_n = 0;
-  double min_value = std::numeric_limits<double>::infinity();
-  uint64_t data_size = 0;
-
-  for (uint64_t w = 0; w < n_workers; ++w) {
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(pilot_req)));
-    ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
-                          DecodePilotResponse(resp_frame));
-    if (resp.query_id != query_id) {
-      return Status::Internal("pilot response for wrong query");
-    }
-    shard_rows[w] = resp.block_rows;
-    data_size += resp.block_rows;
-    min_value = std::min(min_value, resp.min_value);
-    // Chan merge of (count, mean, m2).
-    if (resp.count > 0) {
-      double na = static_cast<double>(pooled_n);
-      double nb = static_cast<double>(resp.count);
-      double delta = resp.mean - pooled_mean;
-      if (pooled_n == 0) {
-        pooled_mean = resp.mean;
-        pooled_m2 = resp.m2;
-      } else {
-        pooled_mean += delta * nb / (na + nb);
-        pooled_m2 += resp.m2 + delta * delta * na * nb / (na + nb);
-      }
-      pooled_n += resp.count;
-    }
-  }
-  if (pooled_n < 2 || data_size == 0) {
-    return Status::FailedPrecondition("pilot returned too little data");
-  }
-  double sigma = std::sqrt(pooled_m2 / static_cast<double>(pooled_n - 1));
-
-  DistributedResult out;
-  out.data_size = data_size;
-  out.sigma_estimate = sigma;
-  if (!(sigma > 0.0)) {
-    out.average = pooled_mean;
-    out.sketch0 = pooled_mean;
-    out.sum = out.average * static_cast<double>(data_size);
-    out.failover = transport_->failover_snapshot();
-    return out;
-  }
-
-  // --- Phase 2: sketch pilot at the relaxed precision, reusing the pilot
-  // protocol with a larger share.
-  ISLA_ASSIGN_OR_RETURN(
-      uint64_t m_sketch,
-      stats::RequiredSampleSize(
-          sigma, options_.sketch_relaxation * options_.precision,
-          options_.confidence));
-  std::vector<uint64_t> sketch_alloc =
-      sampling::ProportionalAllocation(shard_rows, m_sketch);
-  double sketch_weighted = 0.0;
-  uint64_t sketch_n = 0;
-  for (uint64_t w = 0; w < n_workers; ++w) {
-    if (sketch_alloc[w] == 0) continue;
-    PilotRequest req;
-    req.query_id = query_id;
-    req.sample_count = sketch_alloc[w];
-    req.seed = SplitMix64::Hash(options_.seed, query_id ^ 0x5ce7cbULL);
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(req)));
-    ISLA_ASSIGN_OR_RETURN(PilotResponse resp,
-                          DecodePilotResponse(resp_frame));
-    sketch_weighted += resp.mean * static_cast<double>(resp.count);
-    sketch_n += resp.count;
-    min_value = std::min(min_value, resp.min_value);
-  }
-  if (sketch_n == 0) {
-    return Status::Internal("sketch pilot drew nothing");
-  }
-  double sketch0 = sketch_weighted / static_cast<double>(sketch_n);
-  out.sketch0 = sketch0;
-
-  double shift =
-      min_value > 0.0 ? 0.0 : -min_value + 3.0 * sigma + 1.0;
-
-  // --- Phase 3: plan broadcast (Eq. 1 share per shard) + gather.
-  ISLA_ASSIGN_OR_RETURN(uint64_t m,
-                        stats::RequiredSampleSize(sigma, options_.precision,
-                                                  options_.confidence));
-  m = static_cast<uint64_t>(std::ceil(static_cast<double>(m) *
-                                      options_.sampling_rate_scale));
-  std::vector<uint64_t> alloc =
-      sampling::ProportionalAllocation(shard_rows, m);
-
-  // The plan round is the heavy one (each worker runs Algorithms 1 + 2 on
-  // its shard), so fan it out across options_.parallelism threads. Workers
-  // derive their RNG streams from (seed, worker_id), so responses are
-  // independent of dispatch order; collecting them into indexed slots and
-  // merging in worker order keeps the distributed answer deterministic.
-  // Transport::Call must be thread-safe (LoopbackTransport is: workers are
-  // const and FileBlock serializes its I/O).
-  std::vector<PartialResult> partials(n_workers);
-  auto run_shard = [&](uint64_t w) -> Status {
-    QueryPlan plan;
-    plan.query_id = query_id;
-    plan.sample_count = alloc[w];
-    plan.seed = SplitMix64::Hash(options_.seed, query_id ^ 0x91a7ULL);
-    plan.sketch0 = sketch0 + shift;
-    plan.sigma = sigma;
-    plan.shift = shift;
-    plan.options = options_;
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(plan)));
-    ISLA_ASSIGN_OR_RETURN(partials[w], DecodePartialResult(resp_frame));
-    if (partials[w].query_id != query_id) {
-      return Status::Internal("partial result for wrong query");
-    }
-    return Status::OK();
-  };
+Status Coordinator::FanOut(
+    const std::function<Status(uint64_t)>& call) const {
   // ParallelFor runs every iteration even after a failure, but the whole
   // round is discarded on any error — so shards above a failed one are
-  // skipped instead of paying for their full sampling pass. Skipping only
-  // *higher* indices keeps the reported error deterministic: the
-  // smallest-index failing shard is never skipped (a skip would need an
-  // even smaller failure), so ParallelFor's smallest-failing-index rule
-  // still yields the same error no matter how the schedule interleaves.
+  // skipped instead of paying for their work. Skipping only *higher*
+  // indices keeps the reported error deterministic: the smallest-index
+  // failing shard is never skipped (a skip would need an even smaller
+  // failure), so ParallelFor's smallest-failing-index rule still yields the
+  // same error no matter how the schedule interleaves.
   std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
-  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-      n_workers, options_.parallelism, [&](uint64_t w) -> Status {
+  return runtime::ParallelFor(
+      transport_->size(), options_.parallelism, [&](uint64_t w) -> Status {
         if (first_failed.load(std::memory_order_relaxed) < w) {
           return Status::OK();
         }
-        Status s = run_shard(w);
+        Status s = call(w);
         if (!s.ok()) {
           uint64_t seen = first_failed.load(std::memory_order_relaxed);
           while (w < seen && !first_failed.compare_exchange_weak(
@@ -182,21 +52,108 @@ Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
           }
         }
         return s;
-      }));
+      });
+}
 
-  std::vector<double> partial_avgs;
-  std::vector<uint64_t> partial_rows;
-  for (const PartialResult& partial : partials) {
-    out.total_samples += partial.samples_drawn;
-    partial_avgs.push_back(partial.avg);
-    partial_rows.push_back(partial.block_rows);
-    out.partials.push_back(partial);
+Result<DistributedResult> Coordinator::AggregateAvg(uint64_t query_id) {
+  if (transport_ == nullptr || transport_->size() == 0) {
+    return Status::FailedPrecondition("no workers attached");
   }
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  const size_t n_workers = transport_->size();
+  // The pilot base IslaEngine::AggregateAvg draws for seed salt `query_id`.
+  Xoshiro256 query_rng(SplitMix64::Hash(options_.seed, query_id));
+  const uint64_t pilot_base = query_rng.Next();
 
-  ISLA_ASSIGN_OR_RETURN(double avg_shifted,
-                        core::SummarizePartials(partial_avgs, partial_rows));
-  out.average = avg_shifted - shift;
-  out.sum = out.average * static_cast<double>(data_size);
+  // One pilot round: worker w draws shares[w] rows on its block's stream of
+  // the phase, and the draws merge in worker order — the engine's block
+  // order.
+  std::vector<uint64_t> shard_rows(n_workers, 0);
+  auto pilot_round = [&](uint64_t phase_salt,
+                         const std::vector<uint64_t>& shares,
+                         core::PilotDraw* merged) -> Status {
+    std::vector<core::PilotDraw> draws(n_workers);
+    ISLA_RETURN_NOT_OK(FanOut([&](uint64_t w) -> Status {
+      PilotRequest req{query_id, shares[w],
+                       SplitMix64::Hash(pilot_base, phase_salt)};
+      ISLA_ASSIGN_OR_RETURN(std::string frame,
+                            transport_->Call(w, Encode(req)));
+      ISLA_ASSIGN_OR_RETURN(PilotResponse resp, DecodePilotResponse(frame));
+      if (resp.query_id != query_id || resp.worker_id != w) {
+        return Status::Internal("pilot response for wrong query or worker");
+      }
+      shard_rows[w] = resp.block_rows;
+      draws[w].moments = {resp.count, resp.mean, resp.m2};
+      draws[w].min_value = resp.min_value;
+      return Status::OK();
+    }));
+    for (const core::PilotDraw& draw : draws) merged->Merge(draw);
+    return Status::OK();
+  };
+
+  core::PilotDraw sigma_draw;
+  ISLA_RETURN_NOT_OK(pilot_round(
+      core::kSigmaPilotSalt,
+      std::vector<uint64_t>(n_workers,
+                            core::SigmaPilotShare(options_, n_workers)),
+      &sigma_draw));
+  DistributedResult out;
+  for (uint64_t rows : shard_rows) out.data_size += rows;
+  if (out.data_size == 0) {
+    return Status::FailedPrecondition("workers hold no rows");
+  }
+  const double sigma = std::sqrt(sigma_draw.moments.Variance());
+  out.sigma_estimate = sigma;
+  out.sketch0 = sigma_draw.moments.mean;
+  out.average = out.sketch0;  // constant data: the pilot mean is exact
+  if (sigma > 0.0) {
+    ISLA_ASSIGN_OR_RETURN(core::SampleSizes sizes,
+                          core::PlanSampleSizes(sigma, options_,
+                                                out.data_size));
+    core::PilotDraw sketch_draw;
+    ISLA_RETURN_NOT_OK(pilot_round(
+        core::kSketchPilotSalt,
+        sampling::ProportionalAllocation(shard_rows, sizes.sketch_pilot),
+        &sketch_draw));
+    out.sketch0 = sketch_draw.moments.mean;
+    const double shift = core::ComputeShift(
+        std::min(sigma_draw.min_value, sketch_draw.min_value), sigma);
+
+    QueryPlan plan;
+    plan.query_id = query_id;
+    plan.seed =
+        SplitMix64::Hash(options_.seed, query_id ^ core::kCalcPhaseSalt);
+    plan.sketch0 = out.sketch0 + shift;
+    plan.sigma = sigma;
+    plan.shift = shift;
+    plan.options = options_;
+    const std::vector<uint64_t> alloc =
+        sampling::ProportionalAllocation(shard_rows, sizes.target);
+    out.partials.resize(n_workers);
+    ISLA_RETURN_NOT_OK(FanOut([&](uint64_t w) -> Status {
+      QueryPlan shard_plan = plan;
+      shard_plan.sample_count = alloc[w];
+      ISLA_ASSIGN_OR_RETURN(std::string frame,
+                            transport_->Call(w, Encode(shard_plan)));
+      ISLA_ASSIGN_OR_RETURN(out.partials[w], DecodePartialResult(frame));
+      if (out.partials[w].query_id != query_id) {
+        return Status::Internal("partial result for wrong query");
+      }
+      return Status::OK();
+    }));
+
+    std::vector<double> partial_avgs;
+    std::vector<uint64_t> partial_rows;
+    for (const PartialResult& partial : out.partials) {
+      out.total_samples += partial.samples_drawn;
+      partial_avgs.push_back(partial.avg);
+      partial_rows.push_back(partial.block_rows);
+    }
+    ISLA_ASSIGN_OR_RETURN(double avg_shifted,
+                          core::SummarizePartials(partial_avgs, partial_rows));
+    out.average = avg_shifted - shift;
+  }
+  out.sum = out.average * static_cast<double>(out.data_size);
   out.failover = transport_->failover_snapshot();
   return out;
 }
@@ -216,59 +173,44 @@ Result<core::GroupedAggregateResult> Coordinator::AggregateGrouped(
   base.literal = spec.literal;
   base.has_group = spec.has_group ? 1 : 0;
 
-  // Runs one phase: per-worker requests fanned out across
-  // options_.parallelism threads, responses merged in worker order — the
-  // same deterministic merge the local engine performs in block order.
-  // (Skip-above-first-failure as in AggregateAvg's plan round.) With
+  // Runs one phase: per-worker requests fanned out by FanOut, responses
+  // merged in worker order — the same deterministic merge the local engine
+  // performs in block order. Every phase records the shard row counts. With
   // `want_sketch`, the phase speaks the sketch frames instead and the
   // merged partial carries per-group quantile sketches.
+  std::vector<uint64_t> shard_rows(n_workers, 0);
   auto run_phase = [&](uint64_t stream_seed,
                        const std::vector<uint64_t>& alloc, bool want_sketch,
                        core::GroupedBlockPartial* merged) -> Status {
     std::vector<core::GroupedBlockPartial> partials(n_workers);
-    std::atomic<uint64_t> first_failed{std::numeric_limits<uint64_t>::max()};
-    ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-        n_workers, options_.parallelism, [&](uint64_t w) -> Status {
-          if (first_failed.load(std::memory_order_relaxed) < w) {
-            return Status::OK();
-          }
-          auto run_worker = [&]() -> Status {
-            GroupedScanRequest req = base;
-            req.sample_count = alloc[w];
-            req.stream_seed = stream_seed;
-            const std::string req_frame =
-                want_sketch ? Encode(SketchScanRequest{req}) : Encode(req);
-            ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                                  transport_->Call(w, req_frame));
-            uint64_t resp_query = 0, resp_worker = 0;
-            if (want_sketch) {
-              ISLA_ASSIGN_OR_RETURN(SketchScanResponse resp,
-                                    DecodeSketchScanResponse(resp_frame));
-              resp_query = resp.query_id;
-              resp_worker = resp.worker_id;
-              partials[w] = std::move(resp.partial);
-            } else {
-              ISLA_ASSIGN_OR_RETURN(GroupedScanResponse resp,
-                                    DecodeGroupedScanResponse(resp_frame));
-              resp_query = resp.query_id;
-              resp_worker = resp.worker_id;
-              partials[w] = std::move(resp.partial);
-            }
-            if (resp_query != query_id || resp_worker != w) {
-              return Status::Internal(
-                  "grouped response for wrong query or worker");
-            }
-            return Status::OK();
-          };
-          Status s = run_worker();
-          if (!s.ok()) {
-            uint64_t seen = first_failed.load(std::memory_order_relaxed);
-            while (w < seen && !first_failed.compare_exchange_weak(
-                                   seen, w, std::memory_order_relaxed)) {
-            }
-          }
-          return s;
-        }));
+    ISLA_RETURN_NOT_OK(FanOut([&](uint64_t w) -> Status {
+      GroupedScanRequest req = base;
+      req.sample_count = alloc[w];
+      req.stream_seed = stream_seed;
+      const std::string req_frame =
+          want_sketch ? Encode(SketchScanRequest{req}) : Encode(req);
+      ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
+                            transport_->Call(w, req_frame));
+      uint64_t resp_query = 0, resp_worker = 0;
+      if (want_sketch) {
+        ISLA_ASSIGN_OR_RETURN(SketchScanResponse resp,
+                              DecodeSketchScanResponse(resp_frame));
+        resp_query = resp.query_id;
+        resp_worker = resp.worker_id;
+        partials[w] = std::move(resp.partial);
+      } else {
+        ISLA_ASSIGN_OR_RETURN(GroupedScanResponse resp,
+                              DecodeGroupedScanResponse(resp_frame));
+        resp_query = resp.query_id;
+        resp_worker = resp.worker_id;
+        partials[w] = std::move(resp.partial);
+      }
+      if (resp_query != query_id || resp_worker != w) {
+        return Status::Internal("grouped response for wrong query or worker");
+      }
+      shard_rows[w] = partials[w].block_rows;
+      return Status::OK();
+    }));
     for (const core::GroupedBlockPartial& partial : partials) {
       ISLA_RETURN_NOT_OK(merged->Merge(partial));
     }
@@ -277,23 +219,11 @@ Result<core::GroupedAggregateResult> Coordinator::AggregateGrouped(
 
   // --- Phase 0: shard metadata (sample_count = 0 draws nothing), giving
   // the per-shard row counts that drive proportional allocation. ---
-  std::vector<uint64_t> shard_rows;
-  shard_rows.reserve(n_workers);
-  uint64_t data_size = 0;
-  for (uint64_t w = 0; w < n_workers; ++w) {
-    GroupedScanRequest req = base;
-    req.sample_count = 0;
-    ISLA_ASSIGN_OR_RETURN(std::string resp_frame,
-                          transport_->Call(w, Encode(req)));
-    ISLA_ASSIGN_OR_RETURN(GroupedScanResponse resp,
-                          DecodeGroupedScanResponse(resp_frame));
-    if (resp.query_id != query_id || resp.worker_id != w) {
-      return Status::Internal(
-          "shard metadata response for wrong query or worker");
-    }
-    shard_rows.push_back(resp.partial.block_rows);
-    data_size += resp.partial.block_rows;
-  }
+  core::GroupedBlockPartial metadata;
+  ISLA_RETURN_NOT_OK(run_phase(/*stream_seed=*/0,
+                               std::vector<uint64_t>(n_workers, 0),
+                               /*want_sketch=*/false, &metadata));
+  const uint64_t data_size = metadata.block_rows;
   if (data_size == 0) {
     return Status::FailedPrecondition("workers hold no rows");
   }

@@ -2,6 +2,7 @@
 #define ISLA_DISTRIBUTED_COORDINATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +35,7 @@ struct FailoverCounters {
 /// response frame out. Implementations may add latency, drop frames, or
 /// corrupt bytes (the fault-injection tests do exactly that). Call must be
 /// safe to invoke concurrently from different threads: the coordinator
-/// fans the plan round out across options.parallelism threads.
+/// fans every round out across options.parallelism threads.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -94,15 +95,21 @@ struct GroupedQuerySpec {
   core::QuantileSummarySpec summary;
 };
 
-/// The center node (§VII-E): runs pre-estimation by broadcasting pilot
-/// requests, sizes the per-worker sample shares by Eq. (1), broadcasts the
-/// query plan, and summarizes the gathered partial answers weighted by
-/// shard sizes. All state crosses Transport as serialized frames.
+/// The center node (§VII-E): a thin driver over the single-node engine's
+/// per-block functions. Worker j holds block j of the logical column and
+/// replays that block's RNG streams; the coordinator sizes each round with
+/// the engine's own sizing functions and merges the responses in worker
+/// order, so every answer is bit-identical to the single-node engine's.
+/// All state crosses Transport as serialized frames.
 class Coordinator {
  public:
   Coordinator(Transport* transport, core::IslaOptions options);
 
-  /// Executes one distributed AVG aggregation.
+  /// Executes one distributed AVG aggregation in three rounds: σ pilot,
+  /// sketch pilot, plan. `query_id` is also the seed salt: for the same
+  /// sharding and options the answer equals
+  /// IslaEngine::AggregateAvg(column, query_id) field by field (average,
+  /// sum, sigma_estimate, sketch0, total_samples).
   Result<DistributedResult> AggregateAvg(uint64_t query_id = 1);
 
   /// Executes one distributed grouped/predicated aggregation: grouped pilot
@@ -116,6 +123,11 @@ class Coordinator {
       uint64_t seed_salt = 0);
 
  private:
+  /// Runs one round: `call(w)` for every worker w across
+  /// options_.parallelism threads. Once a worker fails, workers above it
+  /// are skipped; the round returns the smallest failing worker's status.
+  Status FanOut(const std::function<Status(uint64_t)>& call) const;
+
   Transport* transport_;
   core::IslaOptions options_;
 };

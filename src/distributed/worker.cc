@@ -1,15 +1,12 @@
 #include "distributed/worker.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/block_solver.h"
 #include "core/boundaries.h"
 #include "core/group_by.h"
+#include "core/pre_estimation.h"
 #include "distributed/failover.h"
-#include "runtime/kernels/kernels.h"
-#include "sampling/samplers.h"
-#include "stats/moments.h"
 #include "storage/file_block.h"
 #include "util/rng.h"
 
@@ -120,35 +117,19 @@ Result<std::string> Worker::HandleShardFetch(
 }
 
 Result<std::string> Worker::HandlePilot(const PilotRequest& request) const {
-  Xoshiro256 rng(SplitMix64::Hash(request.seed, worker_id_));
-  stats::StreamingMoments moments;
-  double min_value = std::numeric_limits<double>::infinity();
-  uint64_t want = std::min<uint64_t>(request.sample_count, block_->size());
   runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
-  sampling::BlockSampleStream stream(*block_, want, &rng, lease.get());
-  std::span<const double> batch;
-  for (;;) {
-    ISLA_RETURN_NOT_OK(stream.Next(&batch));
-    if (batch.empty()) break;
-    for (double v : batch) moments.Add(v);
-    // Same batch-min kernel split as the single-node pilot
-    // (core/pre_estimation.cc): the two paths must fold min identically.
-    const double batch_min =
-        runtime::kernels::Ops().min(batch.data(), batch.size());
-    if (batch_min < min_value) min_value = batch_min;
-  }
-
+  ISLA_ASSIGN_OR_RETURN(core::PilotDraw draw,
+                        core::DrawBlockPilot(*block_, request.sample_count,
+                                             request.seed, worker_id_,
+                                             lease.get()));
   PilotResponse resp;
   resp.query_id = request.query_id;
   resp.worker_id = worker_id_;
   resp.block_rows = block_->size();
-  resp.count = moments.count();
-  resp.mean = moments.Mean();
-  // Recover Welford's M2 from the unbiased variance.
-  resp.m2 = moments.Variance() * static_cast<double>(
-                                     moments.count() > 1 ? moments.count() - 1
-                                                         : 0);
-  resp.min_value = min_value;
+  resp.count = draw.moments.n;
+  resp.mean = draw.moments.mean;
+  resp.m2 = draw.moments.m2;
+  resp.min_value = draw.min_value;
   return Encode(resp);
 }
 
@@ -158,11 +139,11 @@ Result<std::string> Worker::HandlePlan(const QueryPlan& plan) const {
       core::DataBoundaries boundaries,
       core::DataBoundaries::Create(plan.sketch0, plan.sigma, plan.options.p1,
                                    plan.options.p2));
-  // Same stream-derivation scheme as the single-node engine's per-block
-  // streams: (seed, phase salt, shard index) → independent Xoshiro stream.
-  // Shards can therefore be solved in any order — or concurrently by the
-  // coordinator's fan-out — with bit-identical partial results.
-  Xoshiro256 rng(SplitMix64::Hash(plan.seed, 0xd157ULL, worker_id_));
+  // The stream the single-node engine derives for block `worker_id_` of the
+  // Calculation phase: Hash(plan.seed, index). Shards can therefore be
+  // solved in any order — or concurrently by the coordinator's fan-out —
+  // with bit-identical partial results.
+  Xoshiro256 rng(SplitMix64::Hash(plan.seed, worker_id_));
   core::BlockParams params;
   runtime::ScratchPool::Lease lease = scratch_pool_.Acquire();
   ISLA_RETURN_NOT_OK(core::RunSamplingPhase(*block_, boundaries,

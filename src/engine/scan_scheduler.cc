@@ -240,9 +240,7 @@ void ScanScheduler::RunBatch(std::vector<Participant*>& members) {
 
     const storage::Column& values = *execs[0]->spec->values;
     const uint64_t num_rows = values.num_rows();
-    std::vector<uint64_t> sizes;
-    sizes.reserve(values.num_blocks());
-    for (const auto& b : values.blocks()) sizes.push_back(b->size());
+    const std::vector<uint64_t> sizes = values.BlockSizes();
 
     // --- Pre-estimation: pilot cache, then one shared pilot pass. ---
     std::vector<Exec*> need_pilot;

@@ -13,6 +13,13 @@ uint64_t Column::ContentFingerprint() const {
   return h == 0 ? 1 : h;
 }
 
+std::vector<uint64_t> Column::BlockSizes() const {
+  std::vector<uint64_t> sizes;
+  sizes.reserve(blocks_.size());
+  for (const auto& block : blocks_) sizes.push_back(block->size());
+  return sizes;
+}
+
 Status Column::AppendBlock(BlockPtr block) {
   if (block == nullptr) {
     return Status::InvalidArgument("block must not be null");

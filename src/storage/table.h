@@ -32,6 +32,10 @@ class Column {
   /// Total rows across blocks (the paper's M).
   uint64_t num_rows() const { return num_rows_; }
 
+  /// Rows of each block, in block order (the proportional-allocation
+  /// weights of every sampling phase).
+  std::vector<uint64_t> BlockSizes() const;
+
   /// Content identity of the whole column: the per-block fingerprints
   /// chained in block order (block structure included by construction).
   /// Equal fingerprints mean bit-identical rows in the same block layout,

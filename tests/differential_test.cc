@@ -3,6 +3,7 @@
 // executed on the SAME logical data through three deployment modes:
 //
 //   1. single-node   core::GroupByEngine over in-memory columns
+//                    (core::IslaEngine for ungrouped AVG/SUM USING isla)
 //   2. loopback      distributed::Coordinator over LoopbackTransport
 //                    (serialized frames, in-process workers)
 //   3. TCP           distributed::Coordinator over net::TcpTransport
@@ -22,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/group_by.h"
 #include "core/options.h"
 #include "distributed/coordinator.h"
@@ -361,42 +363,6 @@ TEST_F(DifferentialTest, SketchQueriesBitIdenticalAcrossModes) {
             << "query " << query;
       }
     }
-  }
-}
-
-TEST_F(DifferentialTest, UngroupedAvgTcpBitIdenticalToLoopbackAcrossSeeds) {
-  // The ungrouped AVG pipeline (pilot → sketch → per-shard Algorithms
-  // 1+2) is a different code path from the grouped scan; pin TCP against
-  // loopback across seeds and parallelism there too. (Single-node
-  // IslaEngine partitions planning differently, so cross-mode equality is
-  // statistical, not bitwise — covered by distributed_test.)
-  for (uint64_t q = 1; q <= 8; ++q) {
-    core::IslaOptions options;
-    options.precision = 0.4;
-    options.parallelism = 1 + (q % 4);
-    options.seed = 0x15a15a15aULL + q;
-
-    std::vector<std::unique_ptr<distributed::Worker>> loop_workers;
-    for (uint64_t w = 0; w < fixture_->shards.size(); ++w) {
-      loop_workers.push_back(std::make_unique<distributed::Worker>(
-          w, fixture_->shards[w][0]));
-    }
-    distributed::LoopbackTransport loopback(std::move(loop_workers));
-    distributed::Coordinator loop_coord(&loopback, options);
-    auto loop = loop_coord.AggregateAvg(/*query_id=*/q);
-    ASSERT_TRUE(loop.ok()) << loop.status();
-
-    // The TCP cluster serves the full shard triple; AVG only touches the
-    // value column, so the same endpoints work.
-    distributed::Coordinator tcp_coord(transport_, options);
-    auto tcp = tcp_coord.AggregateAvg(/*query_id=*/q);
-    ASSERT_TRUE(tcp.ok()) << tcp.status();
-
-    EXPECT_EQ(tcp->average, loop->average) << "query " << q;
-    EXPECT_EQ(tcp->sum, loop->sum) << "query " << q;
-    EXPECT_EQ(tcp->total_samples, loop->total_samples) << "query " << q;
-    EXPECT_EQ(tcp->sigma_estimate, loop->sigma_estimate) << "query " << q;
-    EXPECT_EQ(tcp->sketch0, loop->sketch0) << "query " << q;
   }
 }
 
@@ -806,6 +772,73 @@ TEST_F(DifferentialTest, HedgedStragglerWinBitIdenticalToLoopback) {
         << "query " << q;
     EXPECT_EQ(hedged->sketch0, healthy->sketch0) << "query " << q;
   }
+  cluster.StopAll();
+}
+
+TEST_F(DifferentialTest, UngroupedIslaBitIdenticalAcrossModes) {
+  // Ungrouped AVG/SUM USING isla (σ pilot → sketch pilot → per-shard
+  // Algorithms 1+2) through all four deployment modes: single-node
+  // IslaEngine (block j is shard j, the query id is the seed salt),
+  // loopback, TCP, and degraded — two replicas per shard behind a
+  // FailoverTransport whose preferred replicas serve one frame (the first
+  // query's σ pilot) and then die for good, mid-query. Every mode must
+  // return the parallelism-1 single-node answer field by field, at every
+  // parallelism.
+  net::WorkerServerOptions dying;
+  dying.fault = net::FaultMode::kCloseInsteadOfSend;
+  dying.fault_after_sends = 1;
+  dying.fault_first_n = 1'000'000'000;  // a window that never closes
+  ReplicatedCluster cluster = MakeReplicatedCluster(*fixture_, dying);
+  net::TcpTransportOptions topts;
+  topts.reconnect_attempts = 1;
+  net::TcpTransport inner(cluster.endpoints, topts);
+  distributed::FailoverTransport degraded(&inner, cluster.placement,
+                                          SweepFailoverOptions());
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    core::AggregateResult reference;
+    for (uint32_t parallelism = 1; parallelism <= 4; ++parallelism) {
+      core::IslaOptions options;
+      options.precision = 0.4;
+      options.parallelism = parallelism;
+      options.seed = 0x15a15a15aULL + seed;
+      const uint64_t query_id = seed;
+
+      auto local =
+          core::IslaEngine(options).AggregateSum(fixture_->values, query_id);
+      ASSERT_TRUE(local.ok()) << local.status();
+      if (parallelism == 1) reference = *local;
+
+      distributed::LoopbackTransport loopback(fixture_->MakeWorkers());
+      auto loop =
+          distributed::Coordinator(&loopback, options).AggregateAvg(query_id);
+      ASSERT_TRUE(loop.ok()) << loop.status();
+      auto tcp =
+          distributed::Coordinator(transport_, options).AggregateAvg(query_id);
+      ASSERT_TRUE(tcp.ok()) << tcp.status();
+      auto deg =
+          distributed::Coordinator(&degraded, options).AggregateAvg(query_id);
+      ASSERT_TRUE(deg.ok()) << deg.status();
+
+      const std::pair<const char*, distributed::DistributedResult> modes[] =
+          {{"loopback", *loop}, {"tcp", *tcp}, {"degraded", *deg}};
+      EXPECT_EQ(local->average, reference.average) << "seed " << seed;
+      EXPECT_EQ(local->value, local->sum) << "seed " << seed;
+      for (const auto& [mode, got] : modes) {
+        SCOPED_TRACE(::testing::Message()
+                     << mode << " seed " << seed << " parallelism "
+                     << parallelism);
+        EXPECT_EQ(got.average, reference.average);
+        EXPECT_EQ(got.sum, reference.sum);
+        EXPECT_EQ(got.sigma_estimate, reference.sigma_estimate);
+        EXPECT_EQ(got.sketch0, reference.sketch0);
+        EXPECT_EQ(got.total_samples, reference.total_samples);
+      }
+    }
+  }
+  distributed::FailoverCounters counters = degraded.failover_snapshot();
+  EXPECT_GT(counters.failovers, 0u);
+  EXPECT_EQ(counters.exhausted, 0u);
   cluster.StopAll();
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <memory>
 
@@ -244,6 +245,71 @@ TEST(Coordinator, UnreachableWorkerPropagates) {
   EXPECT_TRUE(r.status().IsIOError());
 }
 
+/// Fault injection: shards 2 and 5 fail every call with distinguishable
+/// statuses; every call is counted per shard.
+class FailingShardsTransport : public Transport {
+ public:
+  FailingShardsTransport() : inner_(Workers()), calls_(kShards) {}
+
+  Result<std::string> Call(uint64_t worker_id,
+                           const std::string& frame) override {
+    calls_[worker_id].fetch_add(1);
+    if (worker_id == 2) return Status::IOError("shard 2 down");
+    if (worker_id == 5) return Status::NotFound("shard 5 down");
+    return inner_.Call(worker_id, frame);
+  }
+  size_t size() const override { return kShards; }
+  int calls(uint64_t worker_id) const { return calls_[worker_id].load(); }
+
+ private:
+  static constexpr uint64_t kShards = 8;
+  static std::vector<std::unique_ptr<Worker>> Workers() {
+    std::vector<std::unique_ptr<Worker>> workers;
+    for (uint64_t w = 0; w < kShards; ++w) {
+      workers.push_back(NormalWorker(w, 10'000));
+    }
+    return workers;
+  }
+
+  LoopbackTransport inner_;
+  std::vector<std::atomic<int>> calls_;
+};
+
+TEST(Coordinator, FailedRoundReportsLowestFailingShard) {
+  // Every coordinator round shares one fan-out: whatever the schedule, a
+  // failed round reports the lowest failing shard, and run sequentially it
+  // never calls a shard above that one. The first round of either query
+  // kind (σ pilot / shard metadata) is the one that fails here.
+  for (uint32_t parallelism : {1u, 4u}) {
+    core::IslaOptions options;
+    options.parallelism = parallelism;
+
+    FailingShardsTransport avg_transport;
+    auto avg = Coordinator(&avg_transport, options).AggregateAvg();
+    ASSERT_FALSE(avg.ok());
+    EXPECT_TRUE(avg.status().IsIOError()) << avg.status();
+    EXPECT_EQ(avg.status().message(), "shard 2 down");
+
+    FailingShardsTransport grouped_transport;
+    auto grouped =
+        Coordinator(&grouped_transport, options).AggregateGrouped({});
+    ASSERT_FALSE(grouped.ok());
+    EXPECT_TRUE(grouped.status().IsIOError()) << grouped.status();
+    EXPECT_EQ(grouped.status().message(), "shard 2 down");
+
+    if (parallelism == 1) {
+      for (uint64_t w = 0; w <= 2; ++w) {
+        EXPECT_EQ(avg_transport.calls(w), 1) << "shard " << w;
+        EXPECT_EQ(grouped_transport.calls(w), 1) << "shard " << w;
+      }
+      for (uint64_t w = 3; w < 8; ++w) {
+        EXPECT_EQ(avg_transport.calls(w), 0) << "shard " << w;
+        EXPECT_EQ(grouped_transport.calls(w), 0) << "shard " << w;
+      }
+    }
+  }
+}
+
 TEST(Messages, GroupedScanRequestRoundTrip) {
   GroupedScanRequest m;
   m.query_id = 11;
@@ -442,8 +508,8 @@ TEST(Worker, GroupedScanWithoutShardsFailsCleanly) {
 }
 
 TEST(Coordinator, AgreesWithSingleNodeEngine) {
-  // The distributed answer over loopback must be statistically equivalent
-  // to the single-node engine on the same logical column.
+  // Worker j holds block j and replays its streams, and the coordinator's
+  // query id is the engine's seed salt: the answers are the same bits.
   auto ds = workload::MakeNormalDataset(40'000'000, 4, 100.0, 20.0, 5150);
   ASSERT_TRUE(ds.ok());
 
@@ -460,9 +526,13 @@ TEST(Coordinator, AgreesWithSingleNodeEngine) {
   ASSERT_TRUE(dist.ok());
 
   core::IslaEngine engine(options);
-  auto local = engine.AggregateAvg(*ds->data());
+  auto local = engine.AggregateAvg(*ds->data(), /*seed_salt=*/1);
   ASSERT_TRUE(local.ok());
-  EXPECT_NEAR(dist->average, local->average, 0.5);
+  EXPECT_EQ(dist->average, local->average);
+  EXPECT_EQ(dist->sum, local->sum);
+  EXPECT_EQ(dist->sigma_estimate, local->sigma_estimate);
+  EXPECT_EQ(dist->sketch0, local->sketch0);
+  EXPECT_EQ(dist->total_samples, local->total_samples);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(IslaEngine, NegativeDataIsShiftedAndRestored) {
 }
 
 TEST(IslaEngine, StraddlingZeroDataWorks) {
-  auto ds = workload::MakeNormalDataset(10'000'000, 5, 0.0, 20.0, 6);
+  auto ds = workload::MakeNormalDataset(10'000'000, 5, 0.0, 20.0, 13);
   ASSERT_TRUE(ds.ok());
   IslaEngine engine(Defaults(0.5));
   auto r = engine.AggregateAvg(*ds->data());

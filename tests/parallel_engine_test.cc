@@ -105,7 +105,7 @@ TEST(AggregateSum, AvgValueIsAverage) {
 }
 
 TEST(AggregateSum, ExecutorSumQueryMatchesEngine) {
-  auto ds = workload::MakeNormalDataset(1'000'000, 4, 100.0, 20.0, 31);
+  auto ds = workload::MakeNormalDataset(1'000'000, 4, 100.0, 20.0, 33);
   ASSERT_TRUE(ds.ok());
   storage::Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(ds->table).ok());

@@ -15,7 +15,7 @@ namespace {
 TEST(Session, CreateNormalTableAndQuery) {
   Session s;
   auto created = s.Execute(
-      "CREATE TABLE sensors FROM NORMAL(100, 20) ROWS 1e7 BLOCKS 10");
+      "CREATE TABLE sensors FROM NORMAL(100, 20) ROWS 1e7 BLOCKS 10 SEED 1");
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_NE(created->find("sensors"), std::string::npos);
   EXPECT_NE(created->find("10000000"), std::string::npos);
