@@ -74,7 +74,7 @@ runtime::kernels::CmpOp ToCmpOp(PredicateOp op) {
 
 void EvalPredicateMask(PredicateOp op, std::span<const double> lhs,
                        double rhs, uint8_t* mask) {
-  // Kernel-dispatched (AVX2 → SSE2 → scalar); SQL NaN semantics — a NaN on
+  // Kernel-dispatched (AVX2 or scalar); SQL NaN semantics — a NaN on
   // either side never matches, including != — are part of the kernel
   // contract and bit-identical at every tier.
   runtime::kernels::Ops().eval_predicate_mask(ToCmpOp(op), lhs.data(),

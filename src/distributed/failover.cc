@@ -20,46 +20,6 @@ FailoverStats& GlobalFailoverStats() {
   return *stats;
 }
 
-namespace {
-
-/// Index of the highest set bit; 0 maps to bucket 0 (same construction as
-/// net::LatencyHistogram's).
-size_t BucketOf(uint64_t micros, size_t n_buckets) {
-  size_t b = 0;
-  while (micros > 1 && b < n_buckets - 1) {
-    micros >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-}  // namespace
-
-void CallLatencySketch::Record(uint64_t micros) {
-  buckets_[BucketOf(micros, kBuckets)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t CallLatencySketch::PercentileMicros(double q) const {
-  std::array<uint64_t, kBuckets> snap;
-  uint64_t total = 0;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    snap[b] = buckets_[b].load(std::memory_order_relaxed);
-    total += snap[b];
-  }
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < kBuckets; ++b) {
-    seen += snap[b];
-    // Upper bucket bound: a hedge delay should overestimate the straggler
-    // threshold, not underestimate it.
-    if (seen > rank) return 2ULL << b;
-  }
-  return 0;
-}
-
 FailoverTransport::FailoverTransport(
     Transport* inner, std::vector<std::vector<uint64_t>> placement,
     FailoverOptions options)
@@ -128,9 +88,10 @@ uint64_t FailoverTransport::HedgeDelayMillis() const {
   // microsecond-fast loopback calls cannot turn hedging into "always send
   // twice". Before enough samples exist the p99 of a handful of calls is
   // meaningless, so stay at the floor.
-  uint64_t p99_millis = latency_.count() >= 32
-                            ? latency_.PercentileMicros(0.99) / 1000
-                            : 0;
+  uint64_t p99_millis =
+      latency_.count() >= 32
+          ? static_cast<uint64_t>(latency_.PercentileMicros(0.99)) / 1000
+          : 0;
   return std::max(options_.hedge_floor_millis, p99_millis);
 }
 

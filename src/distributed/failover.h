@@ -1,7 +1,6 @@
 #ifndef ISLA_DISTRIBUTED_FAILOVER_H_
 #define ISLA_DISTRIBUTED_FAILOVER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -11,6 +10,7 @@
 #include "common/status.h"
 #include "distributed/coordinator.h"
 #include "runtime/thread_pool.h"
+#include "stats/latency_histogram.h"
 
 namespace isla {
 namespace distributed {
@@ -75,24 +75,6 @@ struct FailoverOptions {
   uint64_t placement_epoch = 0;
 };
 
-/// Lock-free log2-bucketed latency sketch feeding the auto hedge delay.
-/// Same construction as net::LatencyHistogram, duplicated here because the
-/// dependency direction is net → distributed, not the reverse.
-class CallLatencySketch {
- public:
-  void Record(uint64_t micros);
-
-  /// Approximate p99 in microseconds (upper bucket bound); 0 when empty.
-  uint64_t PercentileMicros(double q) const;
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  static constexpr size_t kBuckets = 64;
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-};
-
 /// A replica-aware Transport decorator. The coordinator keeps addressing
 /// logical shards [0, n_shards); this transport owns the shard → replica
 /// placement and maps each logical call onto one of the shard's replica
@@ -151,7 +133,8 @@ class FailoverTransport : public Transport {
   Transport* inner_;
   std::vector<std::vector<uint64_t>> placement_;
   FailoverOptions options_;
-  CallLatencySketch latency_;
+  /// Successful call latencies, feeding the auto hedge delay.
+  stats::LatencyHistogram latency_;
   runtime::ThreadGroup racers_;
   /// One in-flight counter per inner channel, maintained by CallOnce.
   std::vector<std::atomic<uint64_t>> outstanding_;

@@ -100,7 +100,6 @@ void EventLoop::DrainTasks() {
 }
 
 void EventLoop::Run(int64_t tick_millis) {
-  stop_.store(false, std::memory_order_relaxed);
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
   int timeout = tick_millis > 0 && tick_millis <= INT32_MAX
@@ -134,6 +133,10 @@ void EventLoop::Run(int64_t tick_millis) {
   // session completion) is not silently dropped while the loop could
   // still run it.
   DrainTasks();
+  // Consume the Stop() that ended this run, so the loop can be Run again.
+  // Clearing the flag on entry instead would lose a Stop() that lands
+  // before the runner thread gets here, and Run would never return.
+  stop_.store(false, std::memory_order_relaxed);
 }
 
 void EventLoop::Stop() {

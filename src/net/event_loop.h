@@ -69,7 +69,8 @@ class EventLoop {
   void Run(int64_t tick_millis);
 
   /// Makes Run return after the current dispatch round. Any thread.
-  /// Idempotent; a stopped loop can be Run again after Stop.
+  /// Idempotent; a Stop that lands before Run starts makes that Run
+  /// return at once, and a stopped loop can be Run again after Stop.
   void Stop();
 
   /// Registered fds (loop thread; monitoring/tests).

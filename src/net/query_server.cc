@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/query.h"
 #include "engine/session.h"
 #include "net/frame.h"
 #include "net/partial.h"
@@ -442,9 +443,14 @@ void QueryServer::ExecuteStatement(const std::shared_ptr<ClientSession>& s,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  std::string table =
-      response.ok() ? ServerStatsRegistry::ScanTargetOf(statement)
-                    : std::string();
+  // The scan tag is the parsed table name: a successful statement that
+  // does not parse as a query (CREATE, SHOW, SET, ...) scanned nothing.
+  std::string table;
+  if (response.ok()) {
+    if (auto spec = engine::ParseQuery(statement); spec.ok()) {
+      table = std::move(spec->table);
+    }
+  }
   stats_.RecordStatement(micros, table);
   if (response.ok()) {
     (void)EnqueueFrame(s, "ok\n" + *response);

@@ -1,74 +1,12 @@
 #include "net/server_stats.h"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <vector>
 
 #include "distributed/failover.h"
 
 namespace isla {
 namespace net {
-
-namespace {
-
-/// Index of the highest set bit; 0 maps to bucket 0.
-int BucketOf(uint64_t micros) {
-  int b = 0;
-  while (micros > 1 && b < LatencyHistogram::kBuckets - 1) {
-    micros >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-}  // namespace
-
-void LatencyHistogram::Record(uint64_t micros) {
-  buckets_[BucketOf(micros)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyHistogram::PercentileMicros(double q) const {
-  // Snapshot the buckets once; Record() racing the walk can at worst shift
-  // the estimate by the in-flight statements, which is noise at gauge
-  // granularity.
-  std::array<uint64_t, kBuckets> snap;
-  uint64_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    snap[b] = buckets_[b].load(std::memory_order_relaxed);
-    total += snap[b];
-  }
-  if (total == 0) return 0.0;
-  // Every sample sub-microsecond: the whole distribution lives in bucket 0
-  // ([0, 2) µs), whose only honest point estimate is its lower bound.
-  if (snap[0] == total) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1));
-  uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += snap[b];
-    if (seen > rank) {
-      // Interpolate the rank within [2^b, 2^(b+1)) (bucket 0 is [0, 2)).
-      // The old geometric-midpoint estimate reported p50 ≈ 1.41 µs for a
-      // workload whose every statement was sub-microsecond; interpolating
-      // from the bucket's lower bound keeps an all-bucket-0 histogram at 0.
-      if (b == kBuckets - 1) {
-        // The open-ended top bucket has no width to interpolate over;
-        // its lower bound is the only defensible point estimate.
-        return std::ldexp(1.0, b);
-      }
-      double lo = b == 0 ? 0.0 : std::ldexp(1.0, b);
-      double hi = std::ldexp(1.0, b + 1);
-      uint64_t idx_in_bucket = rank - (seen - snap[b]);
-      return lo + (hi - lo) * static_cast<double>(idx_in_bucket) /
-                      static_cast<double>(snap[b]);
-    }
-  }
-  return std::ldexp(1.0, kBuckets - 1);  // Unreachable.
-}
 
 void ServerStatsRegistry::RecordPeakSessions(uint64_t active_now) {
   uint64_t prev = peak_sessions_.load(std::memory_order_relaxed);
@@ -86,28 +24,6 @@ void ServerStatsRegistry::RecordStatement(uint64_t latency_micros,
     std::lock_guard<std::mutex> lock(table_mu_);
     ++table_scans_[std::string(table)];
   }
-}
-
-std::string ServerStatsRegistry::ScanTargetOf(std::string_view statement) {
-  // Tokenize on whitespace, lowercasing as we go; the table name is the
-  // token after "from" in a statement whose first token is "select".
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : statement) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  if (tokens.empty() || tokens.front() != "select") return "";
-  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i] == "from") return tokens[i + 1];
-  }
-  return "";
 }
 
 std::string ServerStatsRegistry::Render(uint64_t active_sessions,

@@ -1,7 +1,6 @@
 #ifndef ISLA_NET_SERVER_STATS_H_
 #define ISLA_NET_SERVER_STATS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -9,37 +8,10 @@
 #include <string>
 #include <string_view>
 
+#include "stats/latency_histogram.h"
+
 namespace isla {
 namespace net {
-
-/// A lock-free log-bucketed latency histogram. Record() costs two relaxed
-/// atomic increments, so it sits directly on the statement hot path;
-/// Percentile() walks the 48 buckets and interpolates the requested rank
-/// linearly within its bucket [2^b, 2^(b+1)) — so an all-sub-microsecond
-/// workload reports 0, not a phantom 1.41 µs midpoint, and the estimate is
-/// never above the bucket's upper bound. Plenty for p50/p99 observability
-/// (this is a gauge, not a benchmark harness).
-class LatencyHistogram {
- public:
-  /// Buckets cover [2^i, 2^(i+1)) microseconds; 48 buckets span past the
-  /// age of the universe, so no latency is ever dropped.
-  static constexpr int kBuckets = 48;
-
-  void Record(uint64_t micros);
-
-  /// The latency (micros) at quantile `q` in [0, 1], the rank interpolated
-  /// linearly within its bucket. Returns 0 when nothing was recorded (and
-  /// when every sample was sub-microsecond: the whole rank range then sits
-  /// in bucket 0, which starts at 0). The open-ended top bucket reports
-  /// its lower bound.
-  double PercentileMicros(double q) const;
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-};
 
 /// Server-wide observability counters behind `SHOW SERVER STATS` and the
 /// daemon's --stats ticker. Everything is atomic (or a small mutex-guarded
@@ -70,7 +42,7 @@ class ServerStatsRegistry {
   uint64_t peak_sessions() const {
     return peak_sessions_.load(std::memory_order_relaxed);
   }
-  const LatencyHistogram& latency() const { return latency_; }
+  const stats::LatencyHistogram& latency() const { return latency_; }
 
   /// The `SHOW SERVER STATS` body: one "key = value" per line, plus one
   /// "scans[table] = n" line per scanned table (sorted by name).
@@ -79,17 +51,12 @@ class ServerStatsRegistry {
                      unsigned exec_threads, double uptime_seconds,
                      std::string_view kernel_tier) const;
 
-  /// Extracts the scanned table name from a SELECT statement ("FROM <t>"),
-  /// or "" when there is none. Case-insensitive, whitespace-tokenized —
-  /// a best-effort observability tag, not a parser.
-  static std::string ScanTargetOf(std::string_view statement);
-
  private:
   std::atomic<uint64_t> statements_{0};
   std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> slow_client_disconnects_{0};
   std::atomic<uint64_t> peak_sessions_{0};
-  LatencyHistogram latency_;
+  stats::LatencyHistogram latency_;
   mutable std::mutex table_mu_;
   std::map<std::string, uint64_t> table_scans_;
 };

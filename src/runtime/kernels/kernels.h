@@ -7,27 +7,24 @@
 #include <string_view>
 #include <vector>
 
-#include "util/rng.h"
-
 namespace isla {
 namespace runtime {
 namespace kernels {
 
 /// Instruction-set tiers of the kernel library, ordered weakest to
-/// strongest. Dispatch picks the strongest tier the CPU supports once at
-/// first use; `ISLA_KERNELS=scalar|sse2|avx2` forces a weaker tier for
-/// testing the fallback paths.
+/// strongest. Dispatch picks AVX2 when the CPU supports it, once at first
+/// use, and the scalar reference otherwise; `ISLA_KERNELS=scalar|avx2`
+/// forces the scalar tier for testing the fallback path.
 enum class DispatchLevel : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 std::string_view DispatchLevelName(DispatchLevel level);
 
-/// Parses "scalar"/"sse2"/"avx2" (the ISLA_KERNELS spellings). Returns
-/// false on anything else.
+/// Parses "scalar"/"avx2" (the ISLA_KERNELS spellings). Returns false on
+/// anything else.
 bool DispatchLevelFromString(std::string_view name, DispatchLevel* out);
 
 /// Comparison operator of the predicate-mask kernel. Values deliberately
@@ -43,35 +40,23 @@ enum class CmpOp : int {
 };
 
 /// Number of independent accumulator lanes of the striped reductions
-/// (sum/min/max below). Element i folds into lane i % kStripeLanes in index
+/// (sum/min below). Element i folds into lane i % kStripeLanes in index
 /// order; a fixed scalar reduction combines the lanes at the end. The
-/// scalar implementation executes this exact schedule, so wider SIMD tiers
-/// (2 doubles per SSE2 register, 4 per AVX2 register) reproduce it lane for
-/// lane and every tier returns bit-identical doubles.
+/// scalar implementation executes this exact schedule, so the AVX2 tier
+/// (two registers of 4 doubles) reproduces it lane for lane and both tiers
+/// return bit-identical doubles.
 inline constexpr size_t kStripeLanes = 8;
 
 /// The kernel dispatch table: one function pointer per vectorizable inner
-/// loop of the sampling/aggregation hot path. Every entry has a scalar
-/// reference implementation that *defines* the semantics; SSE2/AVX2 entries
-/// must be bit-identical to it for every input (pinned by
-/// tests/kernels_test.cc at every supported tier). None of the kernels
-/// allocates.
+/// loop that the sampling/aggregation hot path calls. Every entry has a
+/// scalar reference implementation that *defines* the semantics; AVX2
+/// entries must be bit-identical to it for every input (pinned by
+/// tests/kernels_test.cc). None of the kernels allocates.
 struct KernelOps {
-  /// out[i] = the i-th Xoshiro256::NextBounded(n) draw of `rng`, for
-  /// i < count — the index stream every sampler consumes. RNG consumption
-  /// is exactly that of the scalar NextBounded loop (including Lemire
-  /// rejection replays), so batch generation at any tier leaves `rng` in
-  /// the identical state and emits the identical sequence.
-  void (*generate_uniform_indices)(uint64_t n, uint64_t count,
-                                   Xoshiro256* rng, uint64_t* out);
-
   /// mask[i] = 1 when `v[i] op rhs` holds, else 0, with SQL NaN semantics:
   /// a NaN on either side never matches, including kNe.
   void (*eval_predicate_mask)(CmpOp op, const double* v, size_t n,
                               double rhs, uint8_t* mask);
-
-  /// Number of nonzero bytes in mask[0..n) — the COUNT of a selection.
-  uint64_t (*mask_popcount)(const uint8_t* mask, size_t n);
 
   /// Order-preserving compaction: copies v[i] where mask[i] != 0 into
   /// `out`, returning the survivor count m. `out` must have room for n
@@ -120,20 +105,10 @@ struct KernelOps {
   /// tiers agree the result is NaN in exactly the same cases.
   double (*sum)(const double* v, size_t n);
 
-  /// Striped sum where rows with mask[i] == 0 contribute the neutral
-  /// element -0.0 instead of v[i] (x + -0.0 == x for every x, including
-  /// ±0.0, so skipped rows perturb nothing — the scalar reference performs
-  /// the same neutral-element add, keeping every tier bit-identical).
-  double (*masked_sum)(const double* v, const uint8_t* mask, size_t n);
-
-  /// Striped min/max with lane update `(v < lane) ? v : lane` (resp. >):
-  /// NaN rows are ignored; ties (including ±0.0) keep the incumbent.
-  /// Empty input returns +inf (min) / -inf (max). Masked variants treat
-  /// mask[i] == 0 rows as the neutral element (+inf / -inf).
+  /// Striped min with lane update `(v < lane) ? v : lane`, the pilot
+  /// minimum: NaN rows are ignored; ties (including ±0.0) keep the
+  /// incumbent. Empty input returns +inf.
   double (*min)(const double* v, size_t n);
-  double (*max)(const double* v, size_t n);
-  double (*masked_min)(const double* v, const uint8_t* mask, size_t n);
-  double (*masked_max)(const double* v, const uint8_t* mask, size_t n);
 
   /// Strided half-compaction — the survivor pass of the quantile-sketch
   /// compactor: copies v[offset], v[offset + 2], ... (indices < n) into
@@ -145,8 +120,8 @@ struct KernelOps {
                             double* out);
 };
 
-/// The dispatch table selected for this process: the strongest tier the CPU
-/// supports, unless ISLA_KERNELS forces a weaker one. Resolved once,
+/// The dispatch table selected for this process: AVX2 when the CPU
+/// supports it, unless ISLA_KERNELS forces scalar. Resolved once,
 /// thread-safe, never allocates after the first call.
 const KernelOps& Ops();
 
@@ -159,22 +134,21 @@ std::string_view ActiveLevelName();
 /// The strongest tier this CPU can execute, ignoring ISLA_KERNELS.
 DispatchLevel DetectBestLevel();
 
-/// True when `level`'s table is compiled into this binary (SSE2/AVX2 tables
-/// exist only on x86).
+/// True when `level`'s table is compiled into this binary (the AVX2 table
+/// exists only on x86-64).
 bool LevelCompiled(DispatchLevel level);
 
 /// True when `level` is compiled in AND the CPU can execute it. Benches and
 /// equivalence tests iterate supported tiers explicitly via OpsFor.
 bool LevelSupported(DispatchLevel level);
 
-/// Every tier this machine can execute, weakest (scalar) first — the one
-/// definition of "tiers to compare" shared by bench_kernels and the
-/// equivalence tests, so a new tier cannot be silently dropped from one.
+/// Every tier this machine can execute, scalar first — the one definition
+/// of "tiers to compare" shared by the benches and the equivalence tests.
 std::vector<DispatchLevel> SupportedLevels();
 
 /// The table of a specific tier, for same-run tier comparisons. Falls back
 /// to the scalar table when `level` is not compiled in; the caller must
-/// check LevelSupported before *executing* SSE2/AVX2 entries.
+/// check LevelSupported before *executing* AVX2 entries.
 const KernelOps& OpsFor(DispatchLevel level);
 
 /// Comma-separated SIMD feature list of this CPU ("sse2,sse4.2,avx,avx2"),

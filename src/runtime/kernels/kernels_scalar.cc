@@ -1,9 +1,10 @@
-// Scalar reference tier: the semantic ground truth of every kernel. The
-// SSE2/AVX2 tiers must match these functions bit for bit on every input
-// (tests/kernels_test.cc enforces it), so any change here is a change to
-// the kernel contract itself. Compiled with auto-vectorization disabled
-// (see CMakeLists.txt): the reference stays genuinely scalar, which keeps
-// tier-vs-tier benchmark ratios meaningful and the code a readable spec.
+// Scalar reference tier: the semantic ground truth of every kernel, and
+// the dispatch on any machine without AVX2. The AVX2 tier must match these
+// functions bit for bit on every input (tests/kernels_test.cc enforces
+// it), so any change here is a change to the kernel contract itself.
+// Compiled with auto-vectorization disabled (see CMakeLists.txt): the
+// reference stays genuinely scalar, which keeps tier-vs-tier benchmark
+// ratios meaningful and the code a readable spec.
 
 #include <cmath>
 #include <cstring>
@@ -15,22 +16,6 @@ namespace runtime {
 namespace kernels {
 namespace internal {
 namespace {
-
-void GenerateUniformIndicesScalar(uint64_t n, uint64_t count, Xoshiro256* rng,
-                                  uint64_t* out) {
-  // NextBounded(0) returns 0 without consuming a draw; mirror that.
-  if (n == 0) {
-    std::memset(out, 0, count * sizeof(uint64_t));
-    return;
-  }
-  // Draw from a local copy: `out` is uint64_t* and may alias the RNG's
-  // uint64_t state words as far as the compiler knows, which would force a
-  // state spill/reload around every store — a ~30x slowdown on this loop.
-  // A local whose address never escapes stays in registers.
-  Xoshiro256 local = *rng;
-  for (uint64_t i = 0; i < count; ++i) out[i] = local.NextBounded(n);
-  *rng = local;
-}
 
 void EvalPredicateMaskScalar(CmpOp op, const double* v, size_t n, double rhs,
                              uint8_t* mask) {
@@ -73,12 +58,6 @@ void EvalPredicateMaskScalar(CmpOp op, const double* v, size_t n, double rhs,
   // Unreachable for a valid CmpOp; a drifted cast from a wider caller enum
   // must yield an empty match set, never stale mask bytes.
   std::memset(mask, 0, n);
-}
-
-uint64_t MaskPopcountScalar(const uint8_t* mask, size_t n) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += mask[i] != 0 ? 1 : 0;
-  return count;
 }
 
 size_t CompactMaskedScalar(const double* v, const uint8_t* mask, size_t n,
@@ -143,37 +122,12 @@ double SumScalar(const double* v, size_t n) {
   return ReduceStripedSum(lanes, comps);
 }
 
-double MaskedSumScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes] = {0.0};
-  double comps[kStripeLanes] = {0.0};
-  MaskedSumTail(v, mask, 0, n, lanes, comps);
-  return ReduceStripedSum(lanes, comps);
-}
-
 double MinScalar(const double* v, size_t n) {
   double lanes[kStripeLanes];
   for (double& lane : lanes) {
     lane = std::numeric_limits<double>::infinity();
   }
   MinTail(v, 0, n, lanes);
-  return ReduceStripedMin(lanes);
-}
-
-double MaxScalar(const double* v, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = -std::numeric_limits<double>::infinity();
-  }
-  MaxTail(v, 0, n, lanes);
-  return ReduceStripedMax(lanes);
-}
-
-double MaskedMinScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = std::numeric_limits<double>::infinity();
-  }
-  MaskedMinTail(v, mask, 0, n, lanes);
   return ReduceStripedMin(lanes);
 }
 
@@ -184,33 +138,18 @@ size_t CompactStride2Scalar(const double* v, size_t n, size_t offset,
   return m;
 }
 
-double MaskedMaxScalar(const double* v, const uint8_t* mask, size_t n) {
-  double lanes[kStripeLanes];
-  for (double& lane : lanes) {
-    lane = -std::numeric_limits<double>::infinity();
-  }
-  MaskedMaxTail(v, mask, 0, n, lanes);
-  return ReduceStripedMax(lanes);
-}
-
 }  // namespace
 
 const KernelOps& ScalarOps() {
   static constexpr KernelOps ops = {
-      GenerateUniformIndicesScalar,
       EvalPredicateMaskScalar,
-      MaskPopcountScalar,
       CompactMaskedScalar,
       CompactGroupedScalar,
       ClassifyRegionsScalar,
       GatherF64Scalar,
       IndicesInRangeScalar,
       SumScalar,
-      MaskedSumScalar,
       MinScalar,
-      MaxScalar,
-      MaskedMinScalar,
-      MaskedMaxScalar,
       CompactStride2Scalar,
   };
   return ops;

@@ -33,9 +33,9 @@
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/query_server.h"
-#include "net/server_stats.h"
 #include "net/worker_server.h"
 #include "runtime/thread_pool.h"
+#include "stats/latency_histogram.h"
 #include "storage/block.h"
 
 namespace isla {
@@ -205,6 +205,36 @@ TEST(EventLoop, StopIsPromptWithoutPendingEvents) {
                      std::chrono::steady_clock::now() - start)
                      .count();
   EXPECT_LT(elapsed, 5'000);  // the eventfd wakeup, not the 60s tick
+}
+
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  // QueryServer::Stop stops every I/O loop without knowing whether its
+  // thread has reached Run yet; a Stop that lands first must still end
+  // that Run, or the server's join waits forever.
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  loop.Stop();
+  std::atomic<bool> returned{false};
+  std::thread runner([&] {
+    loop.Run(/*tick_millis=*/10);
+    returned.store(true);
+  });
+  const bool prompt = WaitFor([&] { return returned.load(); }, 5'000);
+  if (!prompt) loop.Stop();  // unblock the runner so the failure reports
+  runner.join();
+  EXPECT_TRUE(prompt) << "a Stop issued before Run was lost";
+
+  // That Stop was consumed: the loop runs again until the next one.
+  returned.store(false);
+  std::thread again([&] {
+    loop.Run(/*tick_millis=*/10);
+    returned.store(true);
+  });
+  SleepMillis(50);
+  EXPECT_FALSE(returned.load());
+  loop.Stop();
+  again.join();
+  EXPECT_TRUE(returned.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +423,14 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
     return response.ok() ? *response : std::string();
   };
   roundtrip("CREATE TABLE t FROM NORMAL(100, 20) ROWS 1e5 BLOCKS 4");
+  roundtrip("CREATE TABLE BigT FROM NORMAL(100, 20) ROWS 1e5 BLOCKS 4");
   roundtrip("SELECT AVG(value) FROM t WITHIN 0.5");
+  // The scan tag comes from the parsed statement, so a trailing ';', a
+  // mixed-case table name and a keyword glued to a ')' tag correctly.
+  roundtrip("SELECT AVG(value) FROM t;");
+  roundtrip("SELECT AVG(value) FROM BigT");
+  roundtrip("SELECT AVG(value)FROM t");
+  roundtrip("SHOW TABLES");
 
   std::string stats = roundtrip("SHOW SERVER STATS");
   EXPECT_EQ(stats.rfind("ok\n", 0), 0u) << stats;
@@ -401,9 +438,10 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
   EXPECT_NE(stats.find("peak_sessions = 1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("sessions_served = 1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("max_sessions = 64"), std::string::npos) << stats;
-  // CREATE + SELECT were executed before the stats statement — and the
-  // stats statement itself, answered inline on the loop, is not counted.
-  EXPECT_NE(stats.find("statements = 2"), std::string::npos) << stats;
+  // CREATE ×2 + SELECT ×4 + SHOW TABLES were executed before the stats
+  // statement — and the stats statement itself, answered inline on the
+  // loop, is not counted.
+  EXPECT_NE(stats.find("statements = 7"), std::string::npos) << stats;
   EXPECT_NE(stats.find("stmts_per_sec = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("latency_p50_ms = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("latency_p99_ms = "), std::string::npos) << stats;
@@ -418,11 +456,19 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
   EXPECT_NE(stats.find("hedge_wins = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("shards_exhausted = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("workers_registered = "), std::string::npos) << stats;
-  EXPECT_NE(stats.find("scans[t] = 1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("scans[t] = 3"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("scans[BigT] = 1"), std::string::npos) << stats;
+  // CREATE and SHOW tally nothing: those are the only two scan lines.
+  size_t scan_lines = 0;
+  for (size_t at = stats.find("scans["); at != std::string::npos;
+       at = stats.find("scans[", at + 1)) {
+    ++scan_lines;
+  }
+  EXPECT_EQ(scan_lines, 2u) << stats;
 
   // Case-insensitive, like the rest of the mini-SQL surface.
   std::string again = roundtrip("show server stats");
-  EXPECT_NE(again.find("statements = 2"), std::string::npos) << again;
+  EXPECT_NE(again.find("statements = 7"), std::string::npos) << again;
 
   // StatsText() is the same body, for the daemon's --stats ticker.
   EXPECT_NE(server.StatsText().find("sessions_served = 1"),
@@ -430,19 +476,8 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
   server.Stop();
 }
 
-TEST(ServerStats, ScanTargetParsesOnlySelects) {
-  EXPECT_EQ(ServerStatsRegistry::ScanTargetOf(
-                "SELECT AVG(value) FROM t WITHIN 0.5"),
-            "t");
-  EXPECT_EQ(ServerStatsRegistry::ScanTargetOf("select sum(x) from  big_tbl"),
-            "big_tbl");
-  EXPECT_EQ(ServerStatsRegistry::ScanTargetOf("SHOW TABLES"), "");
-  EXPECT_EQ(ServerStatsRegistry::ScanTargetOf("CREATE TABLE t FROM X"), "");
-  EXPECT_EQ(ServerStatsRegistry::ScanTargetOf("SELECT 1"), "");
-}
-
 TEST(ServerStats, LatencyHistogramPercentilesAreOrdered) {
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.Record(100);     // the p50 cluster
   for (int i = 0; i < 2; ++i) h.Record(50'000);   // the tail
   EXPECT_EQ(h.count(), 100u);
@@ -458,7 +493,7 @@ TEST(ServerStats, AllSubMicrosecondWorkloadReportsZero) {
   // The old geometric-midpoint estimate reported p50 = sqrt(1·2) ≈ 1.41 µs
   // when every statement was sub-microsecond. Bucket 0 is [0, 2) µs and
   // starts at 0, so 0 is the only honest answer.
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   for (int i = 0; i < 50; ++i) h.Record(0);
   for (int i = 0; i < 50; ++i) h.Record(1);
   for (double q : {0.0, 0.5, 0.99, 1.0}) {
@@ -467,14 +502,14 @@ TEST(ServerStats, AllSubMicrosecondWorkloadReportsZero) {
 }
 
 TEST(ServerStats, EmptyHistogramReportsZero) {
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   EXPECT_EQ(h.PercentileMicros(0.5), 0.0);
 }
 
 TEST(ServerStats, RankInterpolatesLinearlyWithinItsBucket) {
   // Four samples of 100 µs all land in bucket 6 ([64, 128)); rank r of
   // {0..3} maps to 64 + 64·r/4.
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   for (int i = 0; i < 4; ++i) h.Record(100);
   EXPECT_EQ(h.PercentileMicros(0.0), 64.0);
   EXPECT_EQ(h.PercentileMicros(0.5), 80.0);   // rank 1 of 4
@@ -486,7 +521,7 @@ TEST(ServerStats, RankInterpolatesLinearlyWithinItsBucket) {
 TEST(ServerStats, MixedBucketsInterpolateFromLowerBound) {
   // Two sub-µs statements and two at ~100 µs: the low ranks sit in bucket
   // 0 (which starts at 0), the high ranks interpolate inside bucket 6.
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   h.Record(1);
   h.Record(1);
   h.Record(100);
@@ -496,10 +531,10 @@ TEST(ServerStats, MixedBucketsInterpolateFromLowerBound) {
 }
 
 TEST(ServerStats, OpenEndedTopBucketReportsItsLowerBound) {
-  LatencyHistogram h;
+  stats::LatencyHistogram h;
   h.Record(~uint64_t{0});
   EXPECT_EQ(h.PercentileMicros(1.0),
-            std::ldexp(1.0, LatencyHistogram::kBuckets - 1));
+            std::ldexp(1.0, stats::LatencyHistogram::kBuckets - 1));
 }
 
 }  // namespace
