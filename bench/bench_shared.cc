@@ -1,15 +1,18 @@
-// Shared-scan batching benchmark with a machine-readable perf record:
-// emits BENCH_shared.json comparing solo execution (every statement runs
-// its own sampling pass) against the engine::ScanScheduler (concurrent
-// statements coalesce into shared passes, repeats hit the pilot/result
-// caches) for N = 1 / 4 / 16 concurrent statements, on two workloads:
+// Scan-scheduler benchmark with a machine-readable perf record: emits
+// BENCH_shared.json comparing solo execution (N serial standalone
+// core::GroupByEngine runs, each with its own sampling pass) against one
+// default engine::ScanScheduler with all N statements submitted
+// concurrently (identical in-flight statements run once, repeats hit the
+// pilot/result caches), for N = 1 / 4 / 16, on two workloads:
 //
 //   identical — N copies of the same WHERE + GROUP BY statement (the
-//               repeated-dashboard-panel case); batching dedups them into
-//               one execution, so rows scanned collapse by ~N.
+//               repeated-dashboard-panel case); the scheduler runs them
+//               once, so rows scanned collapse by ~N.
 //   mixed     — N statements with different predicate literals over the
-//               same table; one shared pass sized for the weakest
-//               participant serves all of them.
+//               same table. Each is a distinct execution, so the scheduler
+//               scans as many rows as solo (1.0x). That is by design: the
+//               scheduler shares work only between identical statements,
+//               and every execution is the engine's own pipeline.
 //
 // Hard checks (exit 1 on violation):
 //   * every batched answer is bit-identical, field by field, to the
@@ -116,38 +119,54 @@ struct RunResult {
   double stmts_per_sec = 0.0;
 };
 
-/// Runs `stmts` through a scheduler: concurrently when `concurrent`,
-/// serially otherwise. Every answer is hard-checked against `expected`.
-RunResult RunWorkload(
-    isla::engine::ScanScheduler* scheduler, const std::vector<Statement>& stmts,
-    const std::vector<isla::core::GroupedAggregateResult>& expected,
-    bool concurrent) {
+RunResult Finish(const isla::Timer& timer, size_t statements,
+                 uint64_t rows_scanned) {
+  RunResult run;
+  run.elapsed_millis = timer.ElapsedMillis();
+  run.rows_scanned = rows_scanned;
+  run.stmts_per_sec =
+      static_cast<double>(statements) / (run.elapsed_millis / 1000.0);
+  return run;
+}
+
+/// Solo: `stmts` run serially on standalone engines. Their answers are the
+/// bit-identity oracle, returned in `expected`.
+RunResult RunSolo(const std::vector<Statement>& stmts,
+                  std::vector<isla::core::GroupedAggregateResult>* expected) {
+  uint64_t rows = 0;
+  isla::Timer timer;
+  for (const Statement& s : stmts) {
+    isla::core::GroupByEngine engine(s.options);
+    auto r = engine.Aggregate(s.spec, 0);
+    Check(r.ok(), "standalone Aggregate failed");
+    rows += r->scanned_samples + r->pilot_samples;
+    expected->push_back(std::move(*r));
+  }
+  return Finish(timer, stmts.size(), rows);
+}
+
+/// Batched: `stmts` submitted concurrently to one default scheduler. Every
+/// answer is hard-checked against `expected`.
+RunResult RunBatched(
+    const std::vector<Statement>& stmts,
+    const std::vector<isla::core::GroupedAggregateResult>& expected) {
+  isla::engine::ScanScheduler scheduler;
   std::vector<isla::Result<isla::core::GroupedAggregateResult>> results(
       stmts.size(), isla::Status::Internal("not run"));
   isla::Timer timer;
-  if (concurrent) {
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < stmts.size(); ++i) {
-      threads.emplace_back([&, i] {
-        results[i] = scheduler->Execute(stmts[i].spec, stmts[i].options, 0);
-      });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (size_t i = 0; i < stmts.size(); ++i) {
-      results[i] = scheduler->Execute(stmts[i].spec, stmts[i].options, 0);
-    }
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < stmts.size(); ++i) {
+    threads.emplace_back([&, i] {
+      results[i] = scheduler.Execute(stmts[i].spec, stmts[i].options, 0);
+    });
   }
-  RunResult run;
-  run.elapsed_millis = timer.ElapsedMillis();
+  for (auto& t : threads) t.join();
+  RunResult run = Finish(timer, stmts.size(), scheduler.stats().rows_gathered);
   for (size_t i = 0; i < stmts.size(); ++i) {
     Check(results[i].ok(), "scheduler Execute failed");
     CheckBitIdentical(*results[i], expected[i],
                       "batched answer must be bit-identical to standalone");
   }
-  run.rows_scanned = scheduler->stats().rows_gathered;
-  run.stmts_per_sec =
-      static_cast<double>(stmts.size()) / (run.elapsed_millis / 1000.0);
   return run;
 }
 
@@ -157,7 +176,7 @@ int main(int argc, char** argv) {
   using namespace isla;
   const Config cfg = ParseArgs(argc, argv);
   bench::PrintHeader(
-      "Shared-scan multi-query batching",
+      "Scan scheduler: in-flight dedup and caches",
       "solo vs batched stmts/s and rows scanned, N=1/4/16 identical and "
       "mixed predicates; emits " + cfg.out);
   std::printf("kernel dispatch: %s (cpu: %s)\n",
@@ -220,30 +239,9 @@ int main(int argc, char** argv) {
         stmts.push_back(
             make_statement(mixed ? 0.15 + 0.04 * i : 0.25));
       }
-      // Standalone reference answers: the bit-identity oracle.
       std::vector<core::GroupedAggregateResult> expected;
-      for (const Statement& s : stmts) {
-        core::GroupByEngine engine(s.options);
-        auto r = engine.Aggregate(s.spec, 0);
-        Check(r.ok(), "standalone Aggregate failed");
-        expected.push_back(*r);
-      }
-
-      // Solo: no admission window, no caches — N independent passes.
-      engine::ScanSchedulerOptions solo_opts;
-      solo_opts.admission_window_micros = 0;
-      solo_opts.enable_pilot_cache = false;
-      solo_opts.enable_result_cache = false;
-      engine::ScanScheduler solo_scheduler(solo_opts);
-      RunResult solo = RunWorkload(&solo_scheduler, stmts, expected,
-                                   /*concurrent=*/false);
-
-      // Batched: admission window + caches, all N submitted concurrently.
-      engine::ScanSchedulerOptions batch_opts;
-      batch_opts.admission_window_micros = 20'000;
-      engine::ScanScheduler batch_scheduler(batch_opts);
-      RunResult batched = RunWorkload(&batch_scheduler, stmts, expected,
-                                      /*concurrent=*/true);
+      RunResult solo = RunSolo(stmts, &expected);
+      RunResult batched = RunBatched(stmts, expected);
 
       const double reduction =
           batched.rows_scanned > 0

@@ -428,56 +428,73 @@ void ApplyTopK(uint64_t top_k, GroupedAggregateResult* result) {
   result->groups.resize(top_k);
 }
 
-Result<GroupedAggregateResult> GroupByEngine::Aggregate(
-    const GroupedSpec& spec, uint64_t seed_salt) const {
-  ISLA_RETURN_NOT_OK(options_.Validate());
-  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
+namespace {
 
+/// Runs one grouped phase: per-block sampling of `alloc[j]` rows on
+/// independent Hash(seed, seed_salt ^ phase_salt, j) streams, then a
+/// deterministic merge in block order into `merged`.
+Status RunGroupedPhase(const GroupedSpec& spec, const IslaOptions& options,
+                       runtime::ScratchPool* scratch, uint64_t seed_salt,
+                       uint64_t phase_salt, const std::vector<uint64_t>& alloc,
+                       bool want_sketch, GroupedBlockPartial* merged) {
   const storage::Column& values = *spec.values;
-  const size_t num_blocks = values.num_blocks();
-  const std::vector<uint64_t> sizes = values.BlockSizes();
-
   auto block_of = [](const storage::Column* col, size_t j) {
     return col == nullptr ? nullptr : col->blocks()[j].get();
   };
+  std::vector<GroupedBlockPartial> partials(values.num_blocks());
+  ISLA_RETURN_NOT_OK(runtime::ParallelFor(
+      values.num_blocks(), options.parallelism, [&](uint64_t j) -> Status {
+        Xoshiro256 rng(
+            SplitMix64::Hash(options.seed, seed_salt ^ phase_salt, j));
+        runtime::ScratchPool::Lease lease;
+        if (scratch != nullptr) lease = scratch->Acquire();
+        return RunGroupedBlockPass(*values.blocks()[j],
+                                   block_of(spec.predicate, j), spec.op,
+                                   spec.literal, block_of(spec.keys, j),
+                                   alloc[j], &rng, &partials[j], lease.get(),
+                                   want_sketch);
+      }));
+  for (const GroupedBlockPartial& partial : partials) {
+    ISLA_RETURN_NOT_OK(merged->Merge(partial));
+  }
+  return Status::OK();
+}
 
-  // Runs one phase: per-block sampling on independent (seed, salt, j)
-  // streams, then a deterministic merge in block order.
-  auto run_phase = [&](uint64_t phase_salt,
-                       const std::vector<uint64_t>& alloc,
-                       GroupedBlockPartial* merged,
-                       bool want_sketch) -> Status {
-    std::vector<GroupedBlockPartial> partials(num_blocks);
-    ISLA_RETURN_NOT_OK(runtime::ParallelFor(
-        num_blocks, options_.parallelism, [&](uint64_t j) -> Status {
-          Xoshiro256 rng(
-              SplitMix64::Hash(options_.seed, seed_salt ^ phase_salt, j));
-          runtime::ScratchPool::Lease lease;
-          if (scratch_ != nullptr) lease = scratch_->Acquire();
-          return RunGroupedBlockPass(*values.blocks()[j],
-                                     block_of(spec.predicate, j), spec.op,
-                                     spec.literal, block_of(spec.keys, j),
-                                     alloc[j], &rng, &partials[j],
-                                     lease.get(), want_sketch);
-        }));
-    for (const GroupedBlockPartial& partial : partials) {
-      ISLA_RETURN_NOT_OK(merged->Merge(partial));
-    }
-    return Status::OK();
-  };
+}  // namespace
+
+Result<GroupedAggregateResult> GroupByEngine::Aggregate(
+    const GroupedSpec& spec, uint64_t seed_salt) const {
+  ISLA_ASSIGN_OR_RETURN(GroupedPilot pilot, Pilot(spec, seed_salt));
+  return Aggregate(spec, seed_salt, pilot);
+}
+
+Result<GroupedPilot> GroupByEngine::Pilot(const GroupedSpec& spec,
+                                          uint64_t seed_salt) const {
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
 
   // --- Pre-estimation: shared grouped pilot ---
+  const storage::Column& values = *spec.values;
   const uint64_t pilot_size =
       std::min<uint64_t>(options_.sigma_pilot_size, values.num_rows());
-  GroupedBlockPartial pilot_merged;
-  ISLA_RETURN_NOT_OK(run_phase(kGroupPilotSalt,
-                               sampling::ProportionalAllocation(sizes,
-                                                                pilot_size),
-                               &pilot_merged, /*want_sketch=*/false));
+  GroupedBlockPartial merged;
+  ISLA_RETURN_NOT_OK(RunGroupedPhase(
+      spec, options_, scratch_, seed_salt, kGroupPilotSalt,
+      sampling::ProportionalAllocation(values.BlockSizes(), pilot_size),
+      /*want_sketch=*/false, &merged));
   GroupedPilot pilot;
-  pilot.pilot_samples = pilot_merged.scanned;
-  pilot.all = pilot_merged.all;
-  pilot.groups = std::move(pilot_merged.groups);
+  pilot.pilot_samples = merged.scanned;
+  pilot.all = merged.all;
+  pilot.groups = std::move(merged.groups);
+  return pilot;
+}
+
+Result<GroupedAggregateResult> GroupByEngine::Aggregate(
+    const GroupedSpec& spec, uint64_t seed_salt,
+    const GroupedPilot& pilot) const {
+  ISLA_RETURN_NOT_OK(options_.Validate());
+  ISLA_RETURN_NOT_OK(ValidateGroupedSpec(spec));
+  const storage::Column& values = *spec.values;
 
   // --- Calculation: one shared scan sized for the weakest group ---
   ISLA_ASSIGN_OR_RETURN(uint64_t scan,
@@ -485,9 +502,10 @@ Result<GroupedAggregateResult> GroupByEngine::Aggregate(
                                         spec.want_sketch));
   GroupedBlockPartial main_merged;
   if (scan > 0) {
-    ISLA_RETURN_NOT_OK(run_phase(kGroupCalcSalt,
-                                 sampling::ProportionalAllocation(sizes, scan),
-                                 &main_merged, spec.want_sketch));
+    ISLA_RETURN_NOT_OK(RunGroupedPhase(
+        spec, options_, scratch_, seed_salt, kGroupCalcSalt,
+        sampling::ProportionalAllocation(values.BlockSizes(), scan),
+        spec.want_sketch, &main_merged));
   }
 
   // --- Summarization: per-group answers + (e, β) contracts ---

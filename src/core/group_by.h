@@ -248,10 +248,23 @@ class GroupByEngine {
 
   const IslaOptions& options() const { return options_; }
 
-  /// Runs the full grouped pipeline. `seed_salt` decorrelates repeated runs
-  /// (and the executor's method variants).
+  /// Runs the full grouped pipeline: Pilot, then the three-argument
+  /// Aggregate. `seed_salt` decorrelates repeated runs (and the executor's
+  /// method variants).
   Result<GroupedAggregateResult> Aggregate(const GroupedSpec& spec,
                                            uint64_t seed_salt = 0) const;
+
+  /// Pre-estimation alone: the merged grouped pilot. It depends on neither
+  /// the precision/confidence/rate-scale targets nor the sketch and summary
+  /// fields of `spec`, so callers may reuse it across those.
+  Result<GroupedPilot> Pilot(const GroupedSpec& spec,
+                             uint64_t seed_salt = 0) const;
+
+  /// Calculation and Summarization from a pilot of the same spec, seed and
+  /// salt: bit-identical to the two-argument Aggregate.
+  Result<GroupedAggregateResult> Aggregate(const GroupedSpec& spec,
+                                           uint64_t seed_salt,
+                                           const GroupedPilot& pilot) const;
 
  private:
   IslaOptions options_;

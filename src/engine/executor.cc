@@ -195,13 +195,10 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec) const {
       case Method::kIsla:
       case Method::kIslaNonIid:
       case Method::kUniform: {
-        if (scheduler_ != nullptr && !grouped.want_sketch &&
-            grouped.summary.top_k == 0) {
-          // The scheduler batches concurrent sessions into one shared
-          // sampling pass and consults its pilot/result caches; the result
-          // bytes match the GroupByEngine path below exactly. Sketch and
-          // top-k queries go to the engine directly: their post-merge
-          // summaries are not part of the scheduler's cached shape.
+        if (scheduler_ != nullptr) {
+          // The scheduler consults its pilot/result caches and runs
+          // identical in-flight statements once; the result bytes match
+          // the GroupByEngine path below exactly.
           ISLA_ASSIGN_OR_RETURN(
               agg, scheduler_->Execute(grouped, options,
                                        GroupedMethodSalt(spec.method)));

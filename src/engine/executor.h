@@ -73,10 +73,10 @@ inline constexpr uint64_t kGroupedUniformSalt = 0x3f0a11fULL;
 /// from a pilot, so `USING uniform` et al. are apples-to-apples with ISLA.
 class QueryExecutor {
  public:
-  /// `scheduler` (nullable, unowned, must outlive the executor) routes the
-  /// sampled grouped pipeline through the shared-scan batcher and its
-  /// pilot/result caches. Answers are bit-identical either way; the
-  /// scheduler only changes how the rows are fetched.
+  /// `scheduler` (nullable, unowned, must outlive the executor) routes
+  /// every sampled grouped statement, sketch and top-k shapes included,
+  /// through its pilot/result caches and in-flight dedup. Answers are
+  /// bit-identical either way; the scheduler only saves repeated work.
   QueryExecutor(const storage::Catalog* catalog, core::IslaOptions base,
                 ScanScheduler* scheduler = nullptr)
       : catalog_(catalog), base_options_(base), scheduler_(scheduler) {}

@@ -8,8 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
-#include <vector>
+#include <utility>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -20,32 +19,15 @@
 namespace isla {
 namespace engine {
 
-struct ScanSchedulerOptions {
-  /// How long the first query of a batch waits for co-travellers before
-  /// the shared scan starts. 0 disables admission batching (every query
-  /// runs its own pass; the caches still apply). Latency cost is paid only
-  /// by queries that end up leading a batch — joiners wait on the leader
-  /// regardless.
-  int64_t admission_window_micros = 2000;
-  /// Reuse pilot (Pre-estimation) results across queries that share
-  /// (column content, predicate, keys, seed, method salt, pilot size).
-  bool enable_pilot_cache = true;
-  /// Reuse full grouped answers when the precision/confidence/rate-scale
-  /// also match. A hit returns the exact bytes of the original execution.
-  bool enable_result_cache = true;
-  /// LRU capacity of each cache, in entries.
-  size_t cache_capacity = 256;
-};
-
 /// Monitoring counters, surfaced through SHOW STATS. `rows_requested` is
-/// what the participants' standalone executions would have sampled
-/// (pilot + main scan, cache hits included); `rows_gathered` is what the
-/// shared passes actually gathered from the value column. Their ratio is
-/// the I/O amortization the batcher and caches bought.
+/// what the statements' standalone executions would have sampled (pilot +
+/// main scan, cache hits and joiners included); `rows_gathered` is what the
+/// scheduler's executions actually sampled. Their ratio is the work the
+/// caches and in-flight dedup saved.
 struct ScanSchedulerStats {
   uint64_t queries = 0;          // Execute() calls admitted
-  uint64_t shared_batches = 0;   // batches that ran with >= 2 members
-  uint64_t batched_queries = 0;  // members of those batches
+  uint64_t shared_batches = 0;   // in-flight executions a twin joined
+  uint64_t batched_queries = 0;  // statements those executions served
   uint64_t pilot_cache_hits = 0;
   uint64_t pilot_cache_misses = 0;
   uint64_t result_cache_hits = 0;
@@ -54,25 +36,18 @@ struct ScanSchedulerStats {
   uint64_t rows_requested = 0;
 };
 
-/// Coalesces concurrently admitted grouped queries over content-identical
-/// value columns into one sampling pass, and caches pilots and full
-/// results across repeated queries.
+/// Caches and in-flight dedup over core::GroupByEngine for grouped queries,
+/// sketch and top-k shapes included.
 ///
-/// The batching exploits two invariants of the grouped engine:
-///
-///  1. Per-block RNG streams are position-derived —
-///     Hash(seed, salt ^ phase, j) — so every query over the same
-///     (column content, seed, salt) consumes the *same* stream, and
-///     GenerateUniformIndices draws sequentially, so the first k indices
-///     of a stream are a prefix of the first K >= k.
-///  2. RouteGroupedBatch folds survivors in row order, so feeding each
-///     participant exactly its own prefix of the shared draw reproduces
-///     its standalone accumulator Add sequence.
-///
-/// One shared pass therefore draws max-over-participants samples per block
-/// and routes each participant's prefix through its own predicate mask and
-/// accumulators: every answer is bit-identical to standalone execution by
-/// construction (the contract the differential suite pins).
+/// Execute looks up the result cache first. On a miss it joins an identical
+/// execution already in flight, or registers one: the pilot comes from the
+/// pilot cache or GroupByEngine::Pilot, the answer from
+/// GroupByEngine::Aggregate(spec, salt, pilot), and both land in their
+/// caches before the joiners wake. One mutex guards the caches, the
+/// in-flight table and the counters, so N concurrent identical statements
+/// run exactly once. Every answer is bit-identical to
+/// GroupByEngine(options).Aggregate(spec, seed_salt), which is the only
+/// code that samples.
 ///
 /// Cache keys are built from column *content fingerprints*
 /// (storage::Column::ContentFingerprint), so entries from a dropped or
@@ -82,20 +57,16 @@ struct ScanSchedulerStats {
 /// Thread-safe; queries Execute() concurrently from session threads.
 class ScanScheduler {
  public:
-  explicit ScanScheduler(ScanSchedulerOptions options = {});
+  /// `cache_capacity` is the LRU capacity of each cache, in entries.
+  explicit ScanScheduler(size_t cache_capacity = 256);
   ~ScanScheduler();
 
   ScanScheduler(const ScanScheduler&) = delete;
   ScanScheduler& operator=(const ScanScheduler&) = delete;
 
-  /// Runs one grouped aggregation, batching with any concurrently admitted
-  /// queries over a content-identical value column under the same
-  /// (seed, seed_salt). Semantics and result bytes are exactly
-  /// core::GroupByEngine(options).Aggregate(spec, seed_salt).
-  ///
-  /// The caller must keep `spec`'s columns alive until Execute returns
-  /// (sessions hold the table shared_ptr across the call, which also keeps
-  /// every co-batched participant's canonical columns valid).
+  /// Runs one grouped aggregation. Semantics and result bytes are exactly
+  /// core::GroupByEngine(options).Aggregate(spec, seed_salt). The caller
+  /// must keep `spec`'s columns alive until Execute returns.
   Result<core::GroupedAggregateResult> Execute(const core::GroupedSpec& spec,
                                                const core::IslaOptions& options,
                                                uint64_t seed_salt);
@@ -105,47 +76,28 @@ class ScanScheduler {
   /// Drops every cached pilot and result (tests; memory pressure).
   void ClearCaches();
 
-  const ScanSchedulerOptions& options() const { return options_; }
-
  private:
-  /// (value fingerprint, seed, method salt): everything that must agree for
-  /// two queries to consume the same per-block RNG streams.
-  using BatchKey = std::tuple<uint64_t, uint64_t, uint64_t>;
+  /// Full execution identity; slot semantics in MakeCacheKey. Pilot keys
+  /// zero the slots the pilot does not depend on and flip the kind tag.
+  using CacheKey = std::array<uint64_t, 16>;
 
-  /// Full execution identity; index semantics in MakeCacheKey. Pilot keys
-  /// zero the precision/confidence/rate-scale slots (the pilot does not
-  /// depend on them) and flip the kind tag.
-  using CacheKey = std::array<uint64_t, 12>;
+  /// One execution in flight; identical statements wait on it.
+  struct InFlight {
+    bool done = false;
+    uint64_t joiners = 0;
+    Result<core::GroupedAggregateResult> result{
+        Status::Internal("scan scheduler produced no result")};
+  };
 
-  struct Participant;
-  struct Batch;
-  struct Exec;
+  static CacheKey MakeCacheKey(const core::GroupedSpec& spec,
+                               const core::IslaOptions& options,
+                               uint64_t seed_salt, bool pilot);
 
-  static CacheKey MakeCacheKey(const Participant& p, bool pilot);
+  const size_t cache_capacity_;
 
-  /// Runs every member of a closed batch: result-cache lookups, dedup into
-  /// distinct executions, shared pilot pass, per-execution planning, shared
-  /// main pass, summarization, cache inserts. Fills each member's result.
-  void RunBatch(std::vector<Participant*>& members);
-
-  /// One shared sampling pass (pilot or calc) over the active executions.
-  /// `alloc[e][j]` is execution e's standalone per-block allocation; each
-  /// block draws the max over executions and routes prefixes. Appends each
-  /// execution's merged partial into its `merged` member and accumulates
-  /// gathered-row stats.
-  Status SharedPass(std::vector<Exec*>& active, uint64_t seed, uint64_t salt,
-                    uint64_t phase_salt,
-                    const std::vector<std::vector<uint64_t>>& alloc,
-                    uint32_t parallelism,
-                    std::vector<core::GroupedBlockPartial*> merged_out,
-                    uint64_t* rows_gathered);
-
-  ScanSchedulerOptions options_;
-
-  std::mutex mu_;  // guards open_ and batch membership/fan-out
-  std::map<BatchKey, std::shared_ptr<Batch>> open_;
-
-  mutable std::mutex cache_mu_;  // guards the two LRUs and stats_
+  mutable std::mutex mu_;  // guards everything below except scratch_pool_
+  std::condition_variable done_cv_;  // an in-flight execution finished
+  std::map<CacheKey, std::shared_ptr<InFlight>> in_flight_;
   using PilotLru = std::list<std::pair<CacheKey, core::GroupedPilot>>;
   using ResultLru =
       std::list<std::pair<CacheKey, core::GroupedAggregateResult>>;

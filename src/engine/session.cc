@@ -151,13 +151,16 @@ Result<std::string> Session::Execute(std::string_view statement,
   if (head == "create") return CreateTable(statement);
   if (head == "drop") return DropTable(statement);
   if (head == "show") {
-    if (tokens.size() >= 2 && tokens[1].lower == "settings") {
-      return ShowSettings();
+    const std::string target = tokens.size() == 2 ? tokens[1].lower : "";
+    if (target == "tables") return ShowTables();
+    if (target == "settings") return ShowSettings();
+    if (target == "stats") return ShowStats();
+    std::string named;
+    for (size_t i = 1; i < tokens.size(); ++i) {
+      named += (i > 1 ? " " : "") + tokens[i].raw;
     }
-    if (tokens.size() >= 2 && tokens[1].lower == "stats") {
-      return ShowStats();
-    }
-    return ShowTables();
+    return Status::InvalidArgument(
+        "SHOW expects TABLES, SETTINGS or STATS, got '" + named + "'");
   }
   if (head == "describe" || head == "desc") return Describe(statement);
   if (head == "select") return Select(statement, sink);
@@ -493,8 +496,7 @@ Result<std::string> Session::ShowStats() const {
     return os.str();
   }
   ScanSchedulerStats s = scheduler_->stats();
-  os << "\nscan_scheduler = on (window="
-     << scheduler_->options().admission_window_micros << "us)"
+  os << "\nscan_scheduler = on"
      << "\nqueries = " << s.queries
      << "\nshared_batches = " << s.shared_batches
      << "\nbatched_queries = " << s.batched_queries

@@ -83,8 +83,8 @@ class Session {
 
   /// Routes this session's sampled grouped queries through a shared scan
   /// scheduler (nullable, unowned, must outlive the session). The query
-  /// server installs its process-wide scheduler here so concurrent
-  /// sessions batch their scans and share the pilot/result caches.
+  /// server installs its process-wide scheduler here so sessions share
+  /// the pilot/result caches and identical in-flight statements run once.
   void set_scheduler(ScanScheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Direct access for embedding (tests, tools).

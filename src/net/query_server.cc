@@ -36,14 +36,15 @@ int64_t NowMillis() {
       .count();
 }
 
-/// True for `SHOW SERVER STATS` (case-insensitive, any whitespace). The
-/// server answers this one itself — it is about the process, not the
-/// session, so engine::Session never sees it.
+/// True for `SHOW SERVER STATS` (case-insensitive; whitespace and `;`
+/// separate tokens, as in the session's lexer). The server answers this
+/// one itself — it is about the process, not the session, so
+/// engine::Session never sees it.
 bool IsShowServerStats(std::string_view statement) {
   std::vector<std::string> tokens;
   std::string current;
   for (char c : statement) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (std::isspace(static_cast<unsigned char>(c)) || c == ';') {
       if (!current.empty()) tokens.push_back(std::move(current));
       current.clear();
     } else {
@@ -148,8 +149,7 @@ struct QueryServer::ClientSession {
   bool dead = false;   // closed: reject further output, drop events
 };
 
-QueryServer::QueryServer(QueryServerOptions options)
-    : options_(options), scheduler_(options.scheduler) {}
+QueryServer::QueryServer(QueryServerOptions options) : options_(options) {}
 
 QueryServer::~QueryServer() { Stop(); }
 

@@ -36,12 +36,6 @@ struct QueryServerOptions {
   /// Safety tick for the event loops' epoll waits (wakeups are explicit;
   /// the tick only bounds how stale a missed wakeup could ever get).
   int64_t tick_millis = 250;
-  /// Shared-scan batcher settings: every session routes its sampled grouped
-  /// queries through one process-wide engine::ScanScheduler so concurrent
-  /// statements over content-identical tables coalesce into shared passes
-  /// and repeated statements hit the pilot/result caches. Answers are
-  /// bit-identical to standalone execution either way.
-  engine::ScanSchedulerOptions scheduler;
   /// Event-loop reactor threads. Each loop multiplexes its share of the
   /// sessions; 2 loops drive thousands of connections, so this stays small.
   unsigned io_threads = 2;
@@ -114,7 +108,9 @@ class QueryServer {
   /// The `SHOW SERVER STATS` body (also printed by isla_serverd --stats).
   std::string StatsText() const;
 
-  /// The process-wide shared-scan batcher (monitoring/tests).
+  /// The process-wide scan scheduler every session routes its sampled
+  /// grouped queries through: pilot/result caches plus in-flight dedup
+  /// (monitoring/tests).
   engine::ScanScheduler* scheduler() { return &scheduler_; }
 
  private:

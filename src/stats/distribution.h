@@ -35,7 +35,7 @@ class Distribution {
   /// Human-readable name used in experiment logs.
   virtual std::string Name() const = 0;
 
-  /// Content identity for the scan scheduler's shared-scan batching and its
+  /// Content identity for the scan scheduler's in-flight dedup and its
   /// pilot/result caches: two distributions with equal non-zero fingerprints
   /// must produce identical Sample(seed, i) streams. Implementations hash
   /// their exact parameter bits — never the Name() text, whose default

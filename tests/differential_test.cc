@@ -278,7 +278,8 @@ TEST_F(DifferentialTest, SketchQueriesBitIdenticalAcrossModes) {
   // modes: per-block sketches must merge to the same state whether the
   // blocks live in one process or behind sockets, and the coordinator-side
   // summary (quantile bands, histogram scaling, top-k cut) must reproduce
-  // the single-node bytes exactly.
+  // the single-node bytes exactly. A fourth mode, the scan scheduler, runs
+  // each query twice: a result-cache miss, then a hit.
   struct SketchShape {
     bool has_predicate;
     core::PredicateOp op;
@@ -305,6 +306,7 @@ TEST_F(DifferentialTest, SketchQueriesBitIdenticalAcrossModes) {
   shapes.push_back({false, core::PredicateOp::kGe, 0.0, true, top2_median});
   shapes.push_back({true, core::PredicateOp::kGt, 0.5, true, top2_median});
 
+  engine::ScanScheduler scheduler;
   int query = 0;
   for (const SketchShape& shape : shapes) {
     for (uint64_t seed_salt = 1; seed_salt <= 3; ++seed_salt, ++query) {
@@ -348,6 +350,21 @@ TEST_F(DifferentialTest, SketchQueriesBitIdenticalAcrossModes) {
       ExpectBitIdentical(*loop, *local, "sketch-loopback-vs-local", query);
       ExpectBitIdentical(*tcp, *local, "sketch-tcp-vs-local", query);
 
+      // --- Mode 4: scan scheduler, a miss and then a hit. ---
+      for (int run = 0; run < 2; ++run) {
+        auto scheduled = scheduler.Execute(spec, options, seed_salt);
+        ASSERT_TRUE(scheduled.ok())
+            << "query " << query << ": " << scheduled.status();
+        ExpectBitIdentical(*scheduled, *local,
+                           run == 0 ? "sketch-scheduler-miss-vs-local"
+                                    : "sketch-scheduler-hit-vs-local",
+                           query);
+      }
+      EXPECT_EQ(scheduler.stats().result_cache_misses,
+                static_cast<uint64_t>(query + 1));
+      EXPECT_EQ(scheduler.stats().result_cache_hits,
+                static_cast<uint64_t>(query + 1));
+
       // The sketch surface must actually carry data on these runs.
       ASSERT_FALSE(local->groups.empty()) << "query " << query;
       if (shape.summary.quantile_q >= 0.0) {
@@ -366,10 +383,10 @@ TEST_F(DifferentialTest, SketchQueriesBitIdenticalAcrossModes) {
   }
 }
 
-// --- Shared-scan scheduler differentials: batched ≡ standalone ≡ cached ---
+// --- Scan scheduler differentials: batched ≡ standalone ≡ cached ---
 //
-// The scan scheduler's hard contract is that coalescing queries into a
-// shared pass — or answering them from the pilot/result caches — returns
+// The scan scheduler's hard contract is that running concurrent identical
+// queries once — or answering them from the pilot/result caches — returns
 // exactly the bytes the standalone core::GroupByEngine execution would.
 // 51 seeded queries (17 clause shapes × 3 method salts) sweep WHERE
 // operators, GROUP BY, and parallelism 1..3; every query is compared three
@@ -382,9 +399,7 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
                             engine::kGroupedUniformSalt};
   ASSERT_GE(shapes.size() * 3, 50u);
 
-  engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 3000;
-  engine::ScanScheduler scheduler(sched_options);
+  engine::ScanScheduler scheduler;
 
   int query = 0;
   for (const QueryShape& shape : shapes) {
@@ -407,8 +422,8 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
       ASSERT_TRUE(standalone.ok())
           << "query " << query << ": " << standalone.status();
 
-      // Batched: four concurrent identical submissions inside one admission
-      // window. Whether they coalesce into one batch or race into several,
+      // Batched: four concurrent identical submissions. Whether they join
+      // one in-flight execution or race past it into the result cache,
       // every answer must match the standalone bytes.
       constexpr int kConcurrent = 4;
       std::vector<Result<core::GroupedAggregateResult>> batched(
@@ -442,24 +457,19 @@ TEST_F(DifferentialTest, BatchedStandaloneCachedThreeWayBitIdentical) {
 
   engine::ScanSchedulerStats stats = scheduler.stats();
   // Every query's serial re-run (at minimum) is a result-cache hit, and the
-  // shared passes must have gathered strictly less than the participants
-  // requested (the whole point of the batcher).
+  // scheduler's executions must have gathered strictly less than the
+  // statements requested (the whole point of the scheduler).
   EXPECT_GE(stats.result_cache_hits, static_cast<uint64_t>(query));
   EXPECT_GT(stats.rows_requested, stats.rows_gathered);
 }
 
 TEST_F(DifferentialTest, MixedShapesBatchConcurrentlyBitIdentical) {
   // All 17 clause shapes submitted concurrently over the same value column:
-  // one admission window, heterogeneous predicates/keys/precisions, one
-  // shared pass sized for the weakest participant. Caches are disabled so
-  // the shared-scan fan-out itself (not a cache) must reproduce every
-  // standalone answer.
+  // heterogeneous predicates/keys/precisions racing through one scheduler,
+  // its caches and its in-flight table. Every answer must reproduce the
+  // standalone bytes.
   std::vector<QueryShape> shapes = Shapes();
-  engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 20'000;
-  sched_options.enable_pilot_cache = false;
-  sched_options.enable_result_cache = false;
-  engine::ScanScheduler scheduler(sched_options);
+  engine::ScanScheduler scheduler;
 
   core::IslaOptions options;
   options.parallelism = 2;
@@ -518,9 +528,7 @@ TEST_F(DifferentialTest, RecreatedTableNeverServesStaleCacheEntries) {
     return col;
   };
 
-  engine::ScanSchedulerOptions sched_options;
-  sched_options.admission_window_micros = 0;  // caches only, no batching
-  engine::ScanScheduler scheduler(sched_options);
+  engine::ScanScheduler scheduler;
   core::IslaOptions options;
   options.precision = 0.3;
 

@@ -193,8 +193,8 @@ TEST(FaultInjection, TransportRecoversAfterFaultyCall) {
 TEST(FaultInjection, ClientDisconnectMidStreamLeavesOtherSessionsHealthy) {
   // A streaming client that hangs up between PARTIAL frames must only kill
   // its own statement: the server thread sees the failed send, drops the
-  // session, and every other session — including ones co-batched on the
-  // same scheduler — keeps answering, and new sessions are still accepted.
+  // session, and every other session — including ones sharing the same
+  // scheduler — keeps answering, and new sessions are still accepted.
   QueryServer server;
   ASSERT_TRUE(server.Start().ok());
 
@@ -250,12 +250,11 @@ TEST(FaultInjection, ClientDisconnectMidStreamLeavesOtherSessionsHealthy) {
 }
 
 TEST(FaultInjection, ConcurrentBatchMembersSurviveOneMemberDisconnect) {
-  // Several sessions submit the same query inside one admission window
-  // while one of them drops its socket right after sending. The co-batched
-  // members must all receive correct answers — the scheduler completes the
-  // shared pass for everyone; only the dead member's response send fails.
+  // Several sessions submit the same query at once while one of them drops
+  // its socket right after sending. Every session that joins the shared
+  // in-flight execution must receive a correct answer — the scheduler
+  // completes it for everyone; only the dead member's response send fails.
   QueryServerOptions options;
-  options.scheduler.admission_window_micros = 30'000;
   QueryServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -288,7 +287,7 @@ TEST(FaultInjection, ConcurrentBatchMembersSurviveOneMemberDisconnect) {
     ASSERT_TRUE((*conn)->SendFrame(create).ok());
     ASSERT_TRUE((*conn)->RecvFrame().ok());
     ASSERT_TRUE((*conn)->SendFrame(query).ok());
-    (*conn)->Close();  // gone before the batch even closes
+    (*conn)->Close();  // gone before its answer is ready
   });
   for (auto& t : threads) t.join();
 

@@ -1,9 +1,10 @@
-// Unit coverage of engine::ScanScheduler: admission-window coalescing,
-// pilot/result cache behavior, content-fingerprint keying (including the
-// cross-table generator-block positive case), and the stats counters the
-// query server surfaces through SHOW STATS. Bit-identity against the
-// standalone engine is pinned at scale by differential_test; here the
-// focus is the scheduler's own mechanics.
+// Unit coverage of engine::ScanScheduler: in-flight dedup of concurrent
+// identical statements, pilot/result cache behavior (sketch and top-k
+// shapes included), content-fingerprint keying (including the cross-table
+// generator-block positive case), and the stats counters the query server
+// surfaces through SHOW STATS. Bit-identity against the standalone engine
+// is pinned at scale by differential_test; here the focus is the
+// scheduler's own mechanics.
 
 #include "engine/scan_scheduler.h"
 
@@ -60,16 +61,50 @@ std::unique_ptr<storage::Column> GeneratorColumn(uint64_t seed) {
   return col;
 }
 
+/// Group keys {0, 1, 2}, row-aligned with MemoryColumn.
+std::unique_ptr<storage::Column> KeyColumn(uint64_t seed) {
+  auto col = std::make_unique<storage::Column>("k");
+  Xoshiro256 rng(seed);
+  for (int b = 0; b < 3; ++b) {
+    std::vector<double> keys(10'000);
+    for (auto& k : keys) k = static_cast<double>(rng.NextBounded(3));
+    EXPECT_TRUE(
+        col->AppendBlock(
+               std::make_shared<storage::MemoryBlock>(std::move(keys)))
+            .ok());
+  }
+  return col;
+}
+
+/// Field-by-field equality, sketch and top-k surfaces included.
 void ExpectSameResult(const core::GroupedAggregateResult& a,
                       const core::GroupedAggregateResult& b) {
   ASSERT_EQ(a.groups.size(), b.groups.size());
+  EXPECT_EQ(a.data_size, b.data_size);
   EXPECT_EQ(a.scanned_samples, b.scanned_samples);
   EXPECT_EQ(a.pilot_samples, b.pilot_samples);
+  EXPECT_EQ(a.precision, b.precision);
+  EXPECT_EQ(a.confidence, b.confidence);
+  EXPECT_EQ(a.total_groups, b.total_groups);
   for (size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].average, b.groups[g].average);
-    EXPECT_EQ(a.groups[g].sum, b.groups[g].sum);
-    EXPECT_EQ(a.groups[g].ci_half_width, b.groups[g].ci_half_width);
-    EXPECT_EQ(a.groups[g].samples, b.groups[g].samples);
+    const core::GroupResult& x = a.groups[g];
+    const core::GroupResult& y = b.groups[g];
+    EXPECT_EQ(x.key, y.key);
+    EXPECT_EQ(x.average, y.average);
+    EXPECT_EQ(x.sum, y.sum);
+    EXPECT_EQ(x.count_estimate, y.count_estimate);
+    EXPECT_EQ(x.ci_half_width, y.ci_half_width);
+    EXPECT_EQ(x.count_ci_half_width, y.count_ci_half_width);
+    EXPECT_EQ(x.samples, y.samples);
+    EXPECT_EQ(x.meets_precision, y.meets_precision);
+    EXPECT_EQ(x.quantile_value, y.quantile_value);
+    EXPECT_EQ(x.rank_error, y.rank_error);
+    EXPECT_EQ(x.quantile_lo, y.quantile_lo);
+    EXPECT_EQ(x.quantile_hi, y.quantile_hi);
+    EXPECT_EQ(x.sketch_samples, y.sketch_samples);
+    EXPECT_EQ(x.histogram, y.histogram);
+    EXPECT_EQ(x.histogram_lo, y.histogram_lo);
+    EXPECT_EQ(x.histogram_hi, y.histogram_hi);
   }
 }
 
@@ -78,11 +113,7 @@ TEST(ScanSchedulerTest, SoloExecutionMatchesStandaloneEngine) {
   core::GroupedSpec spec;
   spec.values = col.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  sopts.enable_pilot_cache = false;
-  sopts.enable_result_cache = false;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
   auto got = scheduler.Execute(spec, TestOptions(), 0);
   ASSERT_TRUE(got.ok()) << got.status();
 
@@ -97,11 +128,7 @@ TEST(ScanSchedulerTest, ConcurrentIdenticalQueriesCoalesceAndDedup) {
   core::GroupedSpec spec;
   spec.values = col.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 50'000;  // generous: threads must land in it
-  sopts.enable_pilot_cache = false;
-  sopts.enable_result_cache = false;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
 
   constexpr int kThreads = 8;
   std::vector<Result<core::GroupedAggregateResult>> results(
@@ -113,19 +140,26 @@ TEST(ScanSchedulerTest, ConcurrentIdenticalQueriesCoalesceAndDedup) {
     });
   }
   for (auto& th : threads) th.join();
+  core::GroupByEngine engine(TestOptions());
+  auto want = engine.Aggregate(spec, 0);
+  ASSERT_TRUE(want.ok()) << want.status();
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(results[t].ok()) << results[t].status();
-    ExpectSameResult(*results[t], *results[0]);
+    ExpectSameResult(*results[t], *want);
   }
 
   ScanSchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads));
-  // At least one batch must have coalesced >= 2 members, and identical
-  // queries dedup into one execution, so the shared passes gathered far
-  // fewer rows than eight standalone runs would have.
-  EXPECT_GE(stats.shared_batches, 1u);
-  EXPECT_GE(stats.batched_queries, 2u);
-  EXPECT_LT(stats.rows_gathered, stats.rows_requested);
+  // Exactly one execution: every other thread either joined it while it
+  // was in flight or arrived after it finished and hit the result cache.
+  const uint64_t one_run = want->scanned_samples + want->pilot_samples;
+  EXPECT_EQ(stats.rows_gathered, one_run);
+  EXPECT_EQ(stats.rows_requested, kThreads * one_run);
+  EXPECT_EQ(stats.pilot_cache_misses, 1u);
+  EXPECT_LE(stats.shared_batches, 1u);
+  EXPECT_EQ(stats.result_cache_hits + stats.batched_queries -
+                stats.shared_batches,
+            static_cast<uint64_t>(kThreads - 1));
 }
 
 TEST(ScanSchedulerTest, ResultCacheHitsAndClearCaches) {
@@ -133,9 +167,7 @@ TEST(ScanSchedulerTest, ResultCacheHitsAndClearCaches) {
   core::GroupedSpec spec;
   spec.values = col.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
 
   auto first = scheduler.Execute(spec, TestOptions(), 0);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -156,10 +188,7 @@ TEST(ScanSchedulerTest, PilotCacheServesAcrossPrecisionChanges) {
   core::GroupedSpec spec;
   spec.values = col.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  sopts.enable_result_cache = false;  // isolate the pilot cache
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
 
   core::IslaOptions loose = TestOptions();
   auto first = scheduler.Execute(spec, loose, 0);
@@ -191,9 +220,7 @@ TEST(ScanSchedulerTest, GeneratorColumnsShareCacheAcrossIncarnations) {
   spec_a.values = col_a.get();
   spec_b.values = col_b.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
   auto first = scheduler.Execute(spec_a, TestOptions(), 0);
   ASSERT_TRUE(first.ok()) << first.status();
   auto second = scheduler.Execute(spec_b, TestOptions(), 0);
@@ -216,9 +243,7 @@ TEST(ScanSchedulerTest, DistinctSaltsAndSeedsNeverAlias) {
   core::GroupedSpec spec;
   spec.values = col.get();
 
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler;
   auto base = scheduler.Execute(spec, TestOptions(), 0);
   ASSERT_TRUE(base.ok()) << base.status();
 
@@ -237,10 +262,7 @@ TEST(ScanSchedulerTest, DistinctSaltsAndSeedsNeverAlias) {
 }
 
 TEST(ScanSchedulerTest, CacheCapacityEvictsLeastRecentlyUsed) {
-  ScanSchedulerOptions sopts;
-  sopts.admission_window_micros = 0;
-  sopts.cache_capacity = 2;
-  ScanScheduler scheduler(sopts);
+  ScanScheduler scheduler(/*cache_capacity=*/2);
 
   auto col_a = GeneratorColumn(21);
   auto col_b = GeneratorColumn(22);
@@ -257,6 +279,50 @@ TEST(ScanSchedulerTest, CacheCapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(scheduler.stats().result_cache_hits, 0u);
   ASSERT_TRUE(scheduler.Execute(a, TestOptions(), 0).ok());  // hit
   EXPECT_EQ(scheduler.stats().result_cache_hits, 1u);
+}
+
+TEST(ScanSchedulerTest, SketchAndTopKShapesAreCachedBitIdentical) {
+  auto col = MemoryColumn(6);
+  auto keys = KeyColumn(7);
+  core::GroupedSpec median, histogram, top2;
+  for (core::GroupedSpec* spec : {&median, &histogram, &top2}) {
+    spec->values = col.get();
+    spec->keys = keys.get();
+  }
+  median.want_sketch = true;
+  median.summary.quantile_q = 0.5;
+  histogram.want_sketch = true;
+  histogram.summary.histogram_bins = 8;
+  top2.summary.top_k = 2;
+
+  ScanScheduler scheduler;
+  core::GroupByEngine engine(TestOptions());
+  uint64_t runs = 0;
+  for (const core::GroupedSpec* spec : {&median, &histogram, &top2}) {
+    auto want = engine.Aggregate(*spec, 0);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto first = scheduler.Execute(*spec, TestOptions(), 0);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ExpectSameResult(*first, *want);
+    auto repeat = scheduler.Execute(*spec, TestOptions(), 0);
+    ASSERT_TRUE(repeat.ok()) << repeat.status();
+    ExpectSameResult(*repeat, *want);
+    ++runs;
+    EXPECT_EQ(scheduler.stats().result_cache_misses, runs);
+    EXPECT_EQ(scheduler.stats().result_cache_hits, runs);
+  }
+
+  // Another quantile of the same scan is another answer: a result-cache
+  // miss, still equal to the engine's.
+  core::GroupedSpec p90 = median;
+  p90.summary.quantile_q = 0.9;
+  auto got = scheduler.Execute(p90, TestOptions(), 0);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(scheduler.stats().result_cache_misses, runs + 1);
+  EXPECT_EQ(scheduler.stats().result_cache_hits, runs);
+  auto want = engine.Aggregate(p90, 0);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ExpectSameResult(*got, *want);
 }
 
 }  // namespace

@@ -476,6 +476,26 @@ TEST(QueryServerLoop, ShowServerStatsReportsSessionsLatencyAndScans) {
   server.Stop();
 }
 
+TEST(QueryServerLoop, ShowServerStatsAcceptsTrailingSemicolon) {
+  // A terminating ';' separates tokens, as it does for every other
+  // statement, so these reach the server's own stats and not the session.
+  QueryServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = TcpConnect("127.0.0.1", server.port(), 2'000);
+  ASSERT_TRUE(conn.ok());
+  (*conn)->set_deadline_millis(30'000);
+  ASSERT_TRUE((*conn)->RecvFrame().ok());  // greeting
+  for (const char* statement : {"SHOW SERVER STATS;", "show server stats ;"}) {
+    ASSERT_TRUE((*conn)->SendFrame(statement).ok());
+    auto response = (*conn)->RecvFrame();
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->rfind("ok\n", 0), 0u) << *response;
+    EXPECT_NE(response->find("sessions_served = 1"), std::string::npos)
+        << statement << " -> " << *response;
+  }
+  server.Stop();
+}
+
 TEST(ServerStats, LatencyHistogramPercentilesAreOrdered) {
   stats::LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.Record(100);     // the p50 cluster

@@ -131,6 +131,22 @@ TEST(Session, RejectsMalformedStatements) {
           .ok());
 }
 
+TEST(Session, ShowRejectsUnknownTargets) {
+  // SHOW answers only TABLES, SETTINGS and STATS; anything else is an
+  // error naming the target, not a silent table list. SHOW SERVER STATS
+  // belongs to the query server, which answers it before a session sees it.
+  Session s;
+  EXPECT_TRUE(s.Execute("show tables;").ok());
+  for (const char* statement : {"SHOW BOGUS", "SHOW SERVER STATS"}) {
+    auto shown = s.Execute(statement);
+    ASSERT_FALSE(shown.ok()) << statement;
+    EXPECT_TRUE(shown.status().IsInvalidArgument()) << shown.status();
+    EXPECT_NE(shown.status().message().find(std::string(statement).substr(5)),
+              std::string::npos)
+        << shown.status();
+  }
+}
+
 TEST(Session, RejectsBadDistributionParams) {
   Session s;
   EXPECT_FALSE(

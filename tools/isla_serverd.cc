@@ -73,8 +73,7 @@ void Usage() {
   std::fprintf(stderr,
                "usage: isla_serverd [--port P] [--precision e] "
                "[--confidence b]\n"
-               "                    [--parallelism n] [--max-sessions n] "
-               "[--batch-window us]\n"
+               "                    [--parallelism n] [--max-sessions n]\n"
                "                    [--io-threads n] [--exec-threads n] "
                "[--stats]\n"
                "       isla_serverd --worker --shard v.islb "
@@ -173,11 +172,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-sessions") {
       query_options.max_sessions =
           isla::tools::ParseU64Flag("--max-sessions", next("--max-sessions"));
-    } else if (arg == "--batch-window") {
-      // Shared-scan admission window in microseconds; 0 disables batching
-      // (the pilot/result caches stay on).
-      query_options.scheduler.admission_window_micros =
-          isla::tools::ParseI64Flag("--batch-window", next("--batch-window"));
     } else if (arg == "--io-threads") {
       query_options.io_threads = static_cast<unsigned>(
           isla::tools::ParseU64Flag("--io-threads", next("--io-threads")));
