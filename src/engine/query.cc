@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 namespace isla {
@@ -30,7 +32,63 @@ std::string_view MethodName(Method m) {
   return "?";
 }
 
+std::string_view AggregateName(AggregateKind kind) {
+  switch (kind) {
+    case AggregateKind::kAvg:
+      return "AVG";
+    case AggregateKind::kSum:
+      return "SUM";
+    case AggregateKind::kCount:
+      return "COUNT";
+    case AggregateKind::kMedian:
+      return "MEDIAN";
+    case AggregateKind::kQuantile:
+      return "QUANTILE";
+    case AggregateKind::kHistogram:
+      return "HISTOGRAM";
+  }
+  return "?";
+}
+
 namespace {
+
+/// 2^64 as a double: the first value a uint64_t cannot hold. Note that
+/// static_cast<double>(UINT64_MAX) rounds up to it.
+constexpr double kTwoTo64 = 18446744073709551616.0;
+
+template <typename T>
+using Keyword = std::pair<std::string_view, T>;
+
+constexpr Keyword<AggregateKind> kAggregates[] = {
+    {"avg", AggregateKind::kAvg},
+    {"sum", AggregateKind::kSum},
+    {"count", AggregateKind::kCount},
+    {"median", AggregateKind::kMedian},  // q keeps its default, 0.5
+    {"quantile", AggregateKind::kQuantile},
+    {"histogram", AggregateKind::kHistogram},
+};
+
+constexpr Keyword<core::PredicateOp> kOperators[] = {
+    {"=", core::PredicateOp::kEq},  {"==", core::PredicateOp::kEq},
+    {"!=", core::PredicateOp::kNe}, {"<>", core::PredicateOp::kNe},
+    {"<", core::PredicateOp::kLt},  {"<=", core::PredicateOp::kLe},
+    {">", core::PredicateOp::kGt},  {">=", core::PredicateOp::kGe},
+};
+
+constexpr Keyword<Method> kMethods[] = {
+    {"isla", Method::kIsla},         {"isla_noniid", Method::kIslaNonIid},
+    {"noniid", Method::kIslaNonIid}, {"uniform", Method::kUniform},
+    {"us", Method::kUniform},        {"stratified", Method::kStratified},
+    {"sts", Method::kStratified},    {"mv", Method::kMv},
+    {"mvb", Method::kMvb},           {"exact", Method::kExact},
+};
+
+constexpr Keyword<ShowStatement::Target> kShowTargets[] = {
+    {"tables", ShowStatement::Target::kTables},
+    {"settings", ShowStatement::Target::kSettings},
+    {"stats", ShowStatement::Target::kStats},
+    {"server", ShowStatement::Target::kServerStats},  // SERVER STATS
+};
 
 struct Token {
   std::string text;   // lower-cased for keywords/identifiers
@@ -46,6 +104,13 @@ Status ErrorAt(const std::string& what, size_t pos) {
 
 bool IsOperatorChar(char c) {
   return c == '=' || c == '<' || c == '>' || c == '!';
+}
+
+std::string Lowered(std::string s) {
+  for (char& ch : s) {
+    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  }
+  return s;
 }
 
 /// Splits on whitespace; '(' ')' ',' ';' are standalone tokens, comparison
@@ -95,11 +160,7 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
       ++i;
     }
     std::string raw(sql.substr(start, i - start));
-    std::string lowered = raw;
-    for (char& ch : lowered) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
-    tokens.push_back({std::move(lowered), std::move(raw), start, false});
+    tokens.push_back({Lowered(raw), std::move(raw), start, false});
   }
   return tokens;
 }
@@ -108,39 +169,50 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<QuerySpec> Run(const QueryDefaults& defaults) {
+  /// Any statement, dispatched on its first keyword.
+  Result<Statement> Run(const QueryDefaults& defaults) {
+    const Token* head = Peek();
+    if (head == nullptr) return ErrorAt("empty statement", 0);
+    if (Accept("create")) return CreateTable();
+    if (Accept("drop")) {
+      DropTableStatement drop;
+      ISLA_RETURN_NOT_OK(Expect("table"));
+      ISLA_ASSIGN_OR_RETURN(drop.table, Identifier("table name"));
+      ISLA_RETURN_NOT_OK(ExpectEnd());
+      return Statement(std::move(drop));
+    }
+    if (Accept("describe") || Accept("desc")) {
+      DescribeStatement describe;
+      ISLA_ASSIGN_OR_RETURN(describe.table, Identifier("table name"));
+      ISLA_RETURN_NOT_OK(ExpectEnd());
+      return Statement(std::move(describe));
+    }
+    if (Accept("show")) return Show();
+    if (Accept("set")) {
+      SetStatement set;
+      ISLA_ASSIGN_OR_RETURN(std::string option, Identifier("option name"));
+      set.option = Lowered(std::move(option));
+      ISLA_ASSIGN_OR_RETURN(set.value, Number("option value"));
+      ISLA_RETURN_NOT_OK(ExpectEnd());
+      return Statement(std::move(set));
+    }
+    if (head->is_string || head->text != "select") {
+      return ErrorAt("unknown statement '" + head->raw + "'", head->position);
+    }
+    ISLA_ASSIGN_OR_RETURN(QuerySpec spec, Select(defaults));
+    return Statement(std::move(spec));
+  }
+
+  Result<QuerySpec> Select(const QueryDefaults& defaults) {
     QuerySpec spec;
     spec.precision = defaults.precision;
     spec.confidence = defaults.confidence;
     spec.method = defaults.method;
     ISLA_RETURN_NOT_OK(Expect("select"));
 
-    // Aggregate function.
-    const Token* fn = Peek();
-    if (fn == nullptr) {
-      return ErrorAt(
-          "expected AVG, SUM, COUNT, MEDIAN, QUANTILE or HISTOGRAM", End());
-    }
-    if (fn->text == "avg") {
-      spec.aggregate = AggregateKind::kAvg;
-    } else if (fn->text == "sum") {
-      spec.aggregate = AggregateKind::kSum;
-    } else if (fn->text == "count") {
-      spec.aggregate = AggregateKind::kCount;
-    } else if (fn->text == "median") {
-      spec.aggregate = AggregateKind::kMedian;
-      spec.quantile_q = 0.5;
-    } else if (fn->text == "quantile") {
-      spec.aggregate = AggregateKind::kQuantile;
-    } else if (fn->text == "histogram") {
-      spec.aggregate = AggregateKind::kHistogram;
-    } else {
-      return ErrorAt(
-          "expected AVG, SUM, COUNT, MEDIAN, QUANTILE or HISTOGRAM, got '" +
-              fn->raw + "'",
-          fn->position);
-    }
-    Advance();
+    ISLA_ASSIGN_OR_RETURN(
+        spec.aggregate,
+        OneOf(kAggregates, "AVG, SUM, COUNT, MEDIAN, QUANTILE or HISTOGRAM"));
     ISLA_RETURN_NOT_OK(Expect("("));
     ISLA_ASSIGN_OR_RETURN(spec.column, Identifier("column name"));
     if (spec.aggregate == AggregateKind::kQuantile) {
@@ -174,7 +246,9 @@ class Parser {
         Advance();
         PredicateClause where;
         ISLA_ASSIGN_OR_RETURN(where.column, Identifier("predicate column"));
-        ISLA_ASSIGN_OR_RETURN(where.op, Operator());
+        ISLA_ASSIGN_OR_RETURN(
+            where.op,
+            OneOf(kOperators, "a comparison operator (= != <> < <= > >=)"));
         ISLA_ASSIGN_OR_RETURN(where.literal, Number("predicate literal"));
         spec.where = std::move(where);
         continue;
@@ -187,13 +261,9 @@ class Parser {
         Advance();
         ISLA_RETURN_NOT_OK(Expect("by"));
         ISLA_ASSIGN_OR_RETURN(spec.group_by, Identifier("group column"));
-        if (const Token* top = Peek(); top != nullptr &&
-                                       !top->is_string &&
-                                       top->text == "top") {
-          Advance();
+        if (Accept("top")) {
           ISLA_ASSIGN_OR_RETURN(
-              spec.top_k, Integer("TOP group count", 1,
-                                  core::kMaxGroups));
+              spec.top_k, Integer("TOP group count", 1, core::kMaxGroups));
         }
         continue;
       }
@@ -225,8 +295,10 @@ class Parser {
         if (seen_using) return ErrorAt("duplicate USING clause", t->position);
         seen_using = true;
         Advance();
-        ISLA_ASSIGN_OR_RETURN(std::string name, Identifier("method"));
-        ISLA_ASSIGN_OR_RETURN(spec.method, MethodFromName(name, t->position));
+        ISLA_ASSIGN_OR_RETURN(
+            spec.method,
+            OneOf(kMethods, "a method (isla, isla_noniid, uniform, "
+                            "stratified, mv, mvb or exact)"));
         continue;
       }
       return ErrorAt("unexpected token '" + t->raw + "'", t->position);
@@ -235,6 +307,82 @@ class Parser {
   }
 
  private:
+  Result<Statement> CreateTable() {
+    using Source = CreateTableStatement::Source;
+    CreateTableStatement create;
+    ISLA_RETURN_NOT_OK(Expect("table"));
+    ISLA_ASSIGN_OR_RETURN(create.table, Identifier("table name"));
+    ISLA_RETURN_NOT_OK(Expect("from"));
+    const size_t source_at = Position();
+    if (Accept("files")) {
+      create.source = Source::kFiles;
+      ISLA_RETURN_NOT_OK(Expect("("));
+      do {
+        ISLA_ASSIGN_OR_RETURN(std::string path, Path());
+        create.files.push_back(std::move(path));
+      } while (Accept(","));
+      ISLA_RETURN_NOT_OK(Expect(")"));
+      ISLA_RETURN_NOT_OK(ExpectEnd());
+      return Statement(std::move(create));
+    }
+    if (Accept("normal")) {
+      create.source = Source::kNormal;
+      ISLA_ASSIGN_OR_RETURN(create.params, Arguments({"mu", "sigma"}));
+      if (!(create.params[1] > 0.0)) {
+        return ErrorAt("sigma must be > 0", source_at);
+      }
+    } else if (Accept("exponential")) {
+      create.source = Source::kExponential;
+      ISLA_ASSIGN_OR_RETURN(create.params, Arguments({"gamma"}));
+      if (!(create.params[0] > 0.0)) {
+        return ErrorAt("gamma must be > 0", source_at);
+      }
+    } else if (Accept("uniform")) {
+      create.source = Source::kUniform;
+      ISLA_ASSIGN_OR_RETURN(create.params, Arguments({"lo", "hi"}));
+      if (!(create.params[0] < create.params[1])) {
+        return ErrorAt("need lo < hi", source_at);
+      }
+    } else {
+      return Unexpected("NORMAL, EXPONENTIAL, UNIFORM or FILES");
+    }
+    ISLA_RETURN_NOT_OK(Expect("rows"));
+    ISLA_ASSIGN_OR_RETURN(create.rows, Integer("row count", 1, UINT64_MAX));
+    ISLA_RETURN_NOT_OK(Expect("blocks"));
+    ISLA_ASSIGN_OR_RETURN(create.blocks,
+                          Integer("block count", 1, create.rows));
+    // SEED and GROUPS in either order, each at most once.
+    for (;;) {
+      const size_t at = Position();
+      if (Accept("seed")) {
+        if (create.seed.has_value()) {
+          return ErrorAt("duplicate SEED clause", at);
+        }
+        ISLA_ASSIGN_OR_RETURN(create.seed, Integer("seed", 0, UINT64_MAX));
+      } else if (Accept("groups")) {
+        if (create.groups > 0) return ErrorAt("duplicate GROUPS clause", at);
+        ISLA_ASSIGN_OR_RETURN(
+            create.groups, Integer("group cardinality", 1, core::kMaxGroups));
+      } else {
+        break;
+      }
+    }
+    ISLA_RETURN_NOT_OK(ExpectEnd());
+    return Statement(std::move(create));
+  }
+
+  Result<Statement> Show() {
+    ShowStatement show;
+    ISLA_ASSIGN_OR_RETURN(
+        show.target,
+        OneOf(kShowTargets, "TABLES, SETTINGS, STATS or SERVER STATS"));
+    if (show.target == ShowStatement::Target::kServerStats) {
+      ISLA_RETURN_NOT_OK(Expect("stats"));
+    }
+    ISLA_RETURN_NOT_OK(ExpectEnd());
+    return Statement(show);
+  }
+
   const Token* Peek() const {
     return index_ < tokens_.size() ? &tokens_[index_] : nullptr;
   }
@@ -247,81 +395,73 @@ class Parser {
     return t != nullptr ? t->position : End();
   }
 
-  Status Expect(std::string_view keyword) {
+  /// "expected <what>, got '<token>'" at the next token, or "expected
+  /// <what>" at the end of the statement.
+  Status Unexpected(std::string_view what) const {
     const Token* t = Peek();
-    if (t == nullptr) {
-      return ErrorAt("expected '" + std::string(keyword) + "'", End());
-    }
-    if (t->is_string || t->text != keyword) {
-      return ErrorAt("expected '" + std::string(keyword) + "', got '" +
-                         t->raw + "'",
-                     t->position);
-    }
+    if (t == nullptr) return ErrorAt("expected " + std::string(what), End());
+    return ErrorAt("expected " + std::string(what) + ", got '" + t->raw + "'",
+                   t->position);
+  }
+
+  /// Consumes the next token if it is the unquoted `keyword`.
+  bool Accept(std::string_view keyword) {
+    const Token* t = Peek();
+    if (t == nullptr || t->is_string || t->text != keyword) return false;
     Advance();
-    return Status::OK();
+    return true;
+  }
+
+  Status Expect(std::string_view keyword) {
+    if (Accept(keyword)) return Status::OK();
+    return Unexpected("'" + std::string(keyword) + "'");
+  }
+
+  /// Optional trailing `;`s, then the end of the statement.
+  Status ExpectEnd() {
+    while (Accept(";")) {
+    }
+    const Token* t = Peek();
+    if (t == nullptr) return Status::OK();
+    return ErrorAt("unexpected token '" + t->raw + "'", t->position);
   }
 
   Result<std::string> Identifier(std::string_view what) {
     const Token* t = Peek();
-    if (t == nullptr) {
-      return ErrorAt("expected " + std::string(what), End());
-    }
-    if (t->is_string) {
+    if (t != nullptr && t->is_string) {
       return ErrorAt("expected " + std::string(what) +
                          ", got a string literal",
                      t->position);
     }
-    if (t->text == "(" || t->text == ")" || t->text == "," ||
-        IsOperatorChar(t->text[0])) {
-      return ErrorAt("expected " + std::string(what) + ", got '" + t->raw +
-                         "'",
-                     t->position);
+    if (t == nullptr || t->text == "(" || t->text == ")" || t->text == "," ||
+        t->text == ";" || IsOperatorChar(t->text[0])) {
+      return Unexpected(what);
     }
     std::string out = t->raw;
     Advance();
     return out;
   }
 
-  Result<core::PredicateOp> Operator() {
+  /// A file path: a quoted literal or a bare word.
+  Result<std::string> Path() {
     const Token* t = Peek();
-    if (t == nullptr) return ErrorAt("expected a comparison operator", End());
-    if (!t->is_string) {
-      if (t->text == "=" || t->text == "==") {
-        Advance();
-        return core::PredicateOp::kEq;
-      }
-      if (t->text == "!=" || t->text == "<>") {
-        Advance();
-        return core::PredicateOp::kNe;
-      }
-      if (t->text == "<") {
-        Advance();
-        return core::PredicateOp::kLt;
-      }
-      if (t->text == "<=") {
-        Advance();
-        return core::PredicateOp::kLe;
-      }
-      if (t->text == ">") {
-        Advance();
-        return core::PredicateOp::kGt;
-      }
-      if (t->text == ">=") {
-        Advance();
-        return core::PredicateOp::kGe;
-      }
+    if (t == nullptr || !t->is_string) return Identifier("file path");
+    Advance();
+    return t->raw;
+  }
+
+  /// The value of the next token's entry in `keywords`, consuming it.
+  template <typename T, size_t N>
+  Result<T> OneOf(const Keyword<T> (&keywords)[N], std::string_view what) {
+    for (const auto& [keyword, value] : keywords) {
+      if (Accept(keyword)) return value;
     }
-    return ErrorAt("expected a comparison operator (= != <> < <= > >=), "
-                   "got '" +
-                       t->raw + "'",
-                   t->position);
+    return Unexpected(what);
   }
 
   Result<double> Number(std::string_view what) {
     const Token* t = Peek();
-    if (t == nullptr) {
-      return ErrorAt("expected " + std::string(what), End());
-    }
+    if (t == nullptr) return Unexpected(what);
     if (t->is_string) {
       return ErrorAt("string literals are not supported for " +
                          std::string(what) + " (columns are numeric)",
@@ -340,14 +480,29 @@ class Parser {
     return value;
   }
 
+  /// `(x1, ..., xn)`: one number per name in `names`.
+  Result<std::vector<double>> Arguments(
+      std::initializer_list<std::string_view> names) {
+    std::vector<double> values;
+    ISLA_RETURN_NOT_OK(Expect("("));
+    for (std::string_view name : names) {
+      if (!values.empty()) ISLA_RETURN_NOT_OK(Expect(","));
+      ISLA_ASSIGN_OR_RETURN(double value, Number(name));
+      values.push_back(value);
+    }
+    ISLA_RETURN_NOT_OK(Expect(")"));
+    return values;
+  }
+
   /// A whole number in [min, max]: parsed as a double (so 1e3 spellings
-  /// work) but rejected when fractional or out of range.
+  /// work) but rejected when fractional or out of range. 2^64 itself is
+  /// out of range even when max is UINT64_MAX, which rounds up to it.
   Result<uint64_t> Integer(std::string_view what, uint64_t min,
                            uint64_t max) {
     const size_t at = Position();
     ISLA_ASSIGN_OR_RETURN(double value, Number(what));
     if (!(value >= static_cast<double>(min) &&
-          value <= static_cast<double>(max)) ||
+          value <= static_cast<double>(max) && value < kTwoTo64) ||
         value != std::floor(value)) {
       return ErrorAt(std::string(what) + " must be a whole number in [" +
                          std::to_string(min) + ", " + std::to_string(max) +
@@ -355,25 +510,6 @@ class Parser {
                      at);
     }
     return static_cast<uint64_t>(value);
-  }
-
-  static Result<Method> MethodFromName(const std::string& name, size_t pos) {
-    std::string lowered = name;
-    for (char& ch : lowered) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
-    if (lowered == "isla") return Method::kIsla;
-    if (lowered == "isla_noniid" || lowered == "noniid") {
-      return Method::kIslaNonIid;
-    }
-    if (lowered == "uniform" || lowered == "us") return Method::kUniform;
-    if (lowered == "stratified" || lowered == "sts") {
-      return Method::kStratified;
-    }
-    if (lowered == "mv") return Method::kMv;
-    if (lowered == "mvb") return Method::kMvb;
-    if (lowered == "exact") return Method::kExact;
-    return ErrorAt("unknown method '" + name + "'", pos);
   }
 
   std::vector<Token> tokens_;
@@ -403,31 +539,17 @@ Result<QuerySpec> ParseQuery(std::string_view sql) {
 Result<QuerySpec> ParseQuery(std::string_view sql,
                              const QueryDefaults& defaults) {
   ISLA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  return Parser(std::move(tokens)).Select(defaults);
+}
+
+Result<Statement> ParseStatement(std::string_view sql,
+                                 const QueryDefaults& defaults) {
+  ISLA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
   return Parser(std::move(tokens)).Run(defaults);
 }
 
 std::string PrintQuery(const QuerySpec& spec) {
-  std::string out = "SELECT ";
-  switch (spec.aggregate) {
-    case AggregateKind::kAvg:
-      out += "AVG";
-      break;
-    case AggregateKind::kSum:
-      out += "SUM";
-      break;
-    case AggregateKind::kCount:
-      out += "COUNT";
-      break;
-    case AggregateKind::kMedian:
-      out += "MEDIAN";
-      break;
-    case AggregateKind::kQuantile:
-      out += "QUANTILE";
-      break;
-    case AggregateKind::kHistogram:
-      out += "HISTOGRAM";
-      break;
-  }
+  std::string out = "SELECT " + std::string(AggregateName(spec.aggregate));
   out += "(" + spec.column;
   if (spec.aggregate == AggregateKind::kQuantile) {
     out += ", " + PrintDouble(spec.quantile_q);

@@ -1,9 +1,12 @@
 #ifndef ISLA_ENGINE_QUERY_H_
 #define ISLA_ENGINE_QUERY_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -36,6 +39,9 @@ enum class Method {
 };
 
 std::string_view MethodName(Method m);
+
+/// The SQL spelling of an aggregate: "AVG", "SUM", ..., "HISTOGRAM".
+std::string_view AggregateName(AggregateKind kind);
 
 /// A parsed `WHERE <col> <op> <literal>` clause. The column must be
 /// row-aligned with the aggregated column; literals are numeric.
@@ -84,6 +90,52 @@ struct QueryDefaults {
   Method method = Method::kIsla;
 };
 
+/// `CREATE TABLE t FROM NORMAL(mu, sigma) | EXPONENTIAL(gamma)
+/// | UNIFORM(lo, hi) ROWS n BLOCKS b [SEED s] [GROUPS g]` builds virtual
+/// generator blocks; `CREATE TABLE t FROM FILES(path, ...)` opens .islb
+/// shards (a path holding spaces, `,`, `(`, `)`, `;`, `=`, `<`, `>` or `!`
+/// must be quoted). The parser guarantees sigma > 0, gamma > 0, lo < hi and
+/// 1 <= b <= n.
+struct CreateTableStatement {
+  enum class Source { kNormal, kExponential, kUniform, kFiles };
+  std::string table;
+  Source source = Source::kNormal;
+  std::vector<double> params;      // the distribution's arguments, in order
+  std::vector<std::string> files;  // kFiles only
+  uint64_t rows = 0;
+  uint64_t blocks = 0;
+  std::optional<uint64_t> seed;  // absent: the session's seed
+  uint64_t groups = 0;           // GROUPS g, 1..4096; 0 = no "grp" column
+};
+
+/// `DROP TABLE t`.
+struct DropTableStatement {
+  std::string table;
+};
+
+/// `DESCRIBE t` or `DESC t`.
+struct DescribeStatement {
+  std::string table;
+};
+
+/// `SHOW TABLES | SETTINGS | STATS | SERVER STATS`. SERVER STATS is about
+/// the process, so the query server answers it and a Session refuses it.
+struct ShowStatement {
+  enum class Target { kTables, kSettings, kStats, kServerStats };
+  Target target = Target::kTables;
+};
+
+/// `SET option value`. The session checks the name and the value.
+struct SetStatement {
+  std::string option;  // lower-cased
+  double value = 0.0;
+};
+
+/// One statement of the session language.
+using Statement = std::variant<QuerySpec, CreateTableStatement,
+                               DropTableStatement, DescribeStatement,
+                               ShowStatement, SetStatement>;
+
 /// Parses the mini-SQL dialect above. Returns InvalidArgument with a
 /// position-annotated message on malformed input (including unterminated
 /// string literals, duplicate clauses, and unknown operators).
@@ -93,6 +145,14 @@ Result<QuerySpec> ParseQuery(std::string_view sql);
 /// of the global constants.
 Result<QuerySpec> ParseQuery(std::string_view sql,
                              const QueryDefaults& defaults);
+
+/// Parses any statement: a SELECT exactly as ParseQuery(sql, defaults)
+/// does, or one of the statements above. Every error is InvalidArgument
+/// with an offset. Integer literals (ROWS, BLOCKS, SEED, GROUPS, TOP,
+/// histogram bins) must be whole numbers; `1e6` is one. Outside SELECT, `;`
+/// may only end the statement.
+Result<Statement> ParseStatement(std::string_view sql,
+                                 const QueryDefaults& defaults = {});
 
 /// Canonical single-line rendering of a spec. Every optional clause is
 /// printed explicitly and numbers round-trip exactly, so

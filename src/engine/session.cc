@@ -1,10 +1,9 @@
 #include "engine/session.h"
 
-#include <cctype>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <variant>
 #include <vector>
 
 #include "core/online.h"
@@ -26,116 +25,20 @@ constexpr char kGroupColumn[] = "grp";
 /// Decorrelates the group-key generator streams from the value streams.
 constexpr uint64_t kGroupSeedSalt = 0x6b5eedULL;
 
-/// Splits a statement into tokens; parentheses and commas stand alone.
-struct DdlToken {
-  std::string lower;
-  std::string raw;
-};
-
-std::vector<DdlToken> Lex(std::string_view s) {
-  std::vector<DdlToken> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    char c = s[i];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ';') {
-      ++i;
-      continue;
-    }
-    if (c == '(' || c == ')' || c == ',') {
-      out.push_back({std::string(1, c), std::string(1, c)});
-      ++i;
-      continue;
-    }
-    if (c == '\'' || c == '"') {
-      // Quoted path literal.
-      char quote = c;
-      size_t end = s.find(quote, i + 1);
-      if (end == std::string_view::npos) end = s.size();
-      std::string body(s.substr(i + 1, end - i - 1));
-      out.push_back({body, body});
-      i = end + 1;
-      continue;
-    }
-    size_t start = i;
-    while (i < s.size()) {
-      char d = s[i];
-      if (std::isspace(static_cast<unsigned char>(d)) || d == '(' ||
-          d == ')' || d == ',' || d == ';') {
-        break;
-      }
-      ++i;
-    }
-    std::string raw(s.substr(start, i - start));
-    std::string lower = raw;
-    for (char& ch : lower) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
-    out.push_back({std::move(lower), std::move(raw)});
-  }
-  return out;
-}
-
-class DdlParser {
- public:
-  explicit DdlParser(std::vector<DdlToken> tokens)
-      : tokens_(std::move(tokens)) {}
-
-  bool AtEnd() const { return index_ >= tokens_.size(); }
-
-  const DdlToken* Peek() const {
-    return AtEnd() ? nullptr : &tokens_[index_];
-  }
-
-  bool Accept(std::string_view keyword) {
-    if (!AtEnd() && tokens_[index_].lower == keyword) {
-      ++index_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(std::string_view keyword) {
-    if (Accept(keyword)) return Status::OK();
-    return Status::InvalidArgument(
-        "expected '" + std::string(keyword) + "'" +
-        (AtEnd() ? " at end of statement"
-                 : ", got '" + tokens_[index_].raw + "'"));
-  }
-
-  Result<std::string> Identifier(std::string_view what) {
-    if (AtEnd()) {
-      return Status::InvalidArgument("expected " + std::string(what));
-    }
-    std::string out = tokens_[index_].raw;
-    ++index_;
-    return out;
-  }
-
-  Result<double> Number(std::string_view what) {
-    if (AtEnd()) {
-      return Status::InvalidArgument("expected " + std::string(what));
-    }
-    const std::string& raw = tokens_[index_].raw;
-    // std::from_chars handles scientific notation for double.
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), v);
-    if (ec != std::errc() || ptr != raw.data() + raw.size()) {
-      return Status::InvalidArgument("expected a number for " +
-                                     std::string(what) + ", got '" + raw +
-                                     "'");
-    }
-    ++index_;
-    return v;
-  }
-
- private:
-  std::vector<DdlToken> tokens_;
-  size_t index_ = 0;
+/// One visitor from one lambda per Statement alternative.
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
 };
 
 }  // namespace
 
 Session::Session(core::IslaOptions options) : options_(options) {}
+
+QueryDefaults Session::query_defaults() const {
+  return {.precision = options_.precision,
+          .confidence = options_.confidence};
+}
 
 Result<std::string> Session::Execute(std::string_view statement) {
   return Execute(statement, PartialSink());
@@ -143,147 +46,67 @@ Result<std::string> Session::Execute(std::string_view statement) {
 
 Result<std::string> Session::Execute(std::string_view statement,
                                      const PartialSink& sink) {
-  std::vector<DdlToken> tokens = Lex(statement);
-  if (tokens.empty()) {
-    return Status::InvalidArgument("empty statement");
-  }
-  const std::string& head = tokens.front().lower;
-  if (head == "create") return CreateTable(statement);
-  if (head == "drop") return DropTable(statement);
-  if (head == "show") {
-    const std::string target = tokens.size() == 2 ? tokens[1].lower : "";
-    if (target == "tables") return ShowTables();
-    if (target == "settings") return ShowSettings();
-    if (target == "stats") return ShowStats();
-    std::string named;
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      named += (i > 1 ? " " : "") + tokens[i].raw;
-    }
-    return Status::InvalidArgument(
-        "SHOW expects TABLES, SETTINGS or STATS, got '" + named + "'");
-  }
-  if (head == "describe" || head == "desc") return Describe(statement);
-  if (head == "select") return Select(statement, sink);
-  if (head == "set") return SetOption(statement);
-  return Status::InvalidArgument("unknown statement: '" + tokens.front().raw +
-                                 "'");
+  ISLA_ASSIGN_OR_RETURN(Statement parsed,
+                        ParseStatement(statement, query_defaults()));
+  return Execute(parsed, sink);
 }
 
-Result<std::string> Session::CreateTable(std::string_view statement) {
-  DdlParser p(Lex(statement));
-  ISLA_RETURN_NOT_OK(p.Expect("create"));
-  ISLA_RETURN_NOT_OK(p.Expect("table"));
-  ISLA_ASSIGN_OR_RETURN(std::string name, p.Identifier("table name"));
-  ISLA_RETURN_NOT_OK(p.Expect("from"));
+Result<std::string> Session::Execute(const Statement& statement,
+                                     const PartialSink& sink) {
+  return std::visit(
+      Overloaded{
+          [&](const QuerySpec& spec) { return Select(spec, sink); },
+          [&](const CreateTableStatement& create) {
+            return CreateTable(create);
+          },
+          [&](const DropTableStatement& drop) { return DropTable(drop.table); },
+          [&](const DescribeStatement& describe) {
+            return Describe(describe.table);
+          },
+          [&](const ShowStatement& show) { return Show(show.target); },
+          [&](const SetStatement& set) { return SetOption(set); },
+      },
+      statement);
+}
 
-  auto table = std::make_shared<storage::Table>(name);
+Result<std::string> Session::CreateTable(const CreateTableStatement& create) {
+  using Source = CreateTableStatement::Source;
+  auto table = std::make_shared<storage::Table>(create.table);
   ISLA_RETURN_NOT_OK(table->AddColumn(kDefaultColumn));
 
   std::ostringstream response;
-  if (p.Accept("files")) {
-    ISLA_RETURN_NOT_OK(p.Expect("("));
+  if (create.source == Source::kFiles) {
     uint64_t rows = 0;
-    size_t shards = 0;
-    while (true) {
-      ISLA_ASSIGN_OR_RETURN(std::string path, p.Identifier("file path"));
+    for (const std::string& path : create.files) {
       ISLA_ASSIGN_OR_RETURN(auto block, storage::FileBlock::Open(path));
       rows += block->size();
-      ++shards;
       ISLA_RETURN_NOT_OK(table->AppendBlock(kDefaultColumn, block));
-      if (p.Accept(")")) break;
-      ISLA_RETURN_NOT_OK(p.Expect(","));
     }
-    response << "created table " << name << " from " << shards
-             << " shard file(s), " << rows << " rows";
+    response << "created table " << create.table << " from "
+             << create.files.size() << " shard file(s), " << rows << " rows";
   } else {
     // Distribution-backed virtual table.
+    const std::vector<double>& p = create.params;
     std::shared_ptr<const stats::Distribution> dist;
-    if (p.Accept("normal")) {
-      ISLA_RETURN_NOT_OK(p.Expect("("));
-      ISLA_ASSIGN_OR_RETURN(double mu, p.Number("mu"));
-      ISLA_RETURN_NOT_OK(p.Expect(","));
-      ISLA_ASSIGN_OR_RETURN(double sigma, p.Number("sigma"));
-      ISLA_RETURN_NOT_OK(p.Expect(")"));
-      if (!(sigma > 0.0)) {
-        return Status::InvalidArgument("sigma must be > 0");
-      }
-      dist = std::make_shared<stats::NormalDistribution>(mu, sigma);
-    } else if (p.Accept("exponential")) {
-      ISLA_RETURN_NOT_OK(p.Expect("("));
-      ISLA_ASSIGN_OR_RETURN(double gamma, p.Number("gamma"));
-      ISLA_RETURN_NOT_OK(p.Expect(")"));
-      if (!(gamma > 0.0)) {
-        return Status::InvalidArgument("gamma must be > 0");
-      }
-      dist = std::make_shared<stats::ExponentialDistribution>(gamma);
-    } else if (p.Accept("uniform")) {
-      ISLA_RETURN_NOT_OK(p.Expect("("));
-      ISLA_ASSIGN_OR_RETURN(double lo, p.Number("lo"));
-      ISLA_RETURN_NOT_OK(p.Expect(","));
-      ISLA_ASSIGN_OR_RETURN(double hi, p.Number("hi"));
-      ISLA_RETURN_NOT_OK(p.Expect(")"));
-      if (!(lo < hi)) return Status::InvalidArgument("need lo < hi");
-      dist = std::make_shared<stats::UniformDistribution>(lo, hi);
+    if (create.source == Source::kNormal) {
+      dist = std::make_shared<stats::NormalDistribution>(p[0], p[1]);
+    } else if (create.source == Source::kExponential) {
+      dist = std::make_shared<stats::ExponentialDistribution>(p[0]);
     } else {
-      return Status::InvalidArgument(
-          "expected NORMAL/EXPONENTIAL/UNIFORM/FILES source");
+      dist = std::make_shared<stats::UniformDistribution>(p[0], p[1]);
     }
-
-    ISLA_RETURN_NOT_OK(p.Expect("rows"));
-    ISLA_ASSIGN_OR_RETURN(double rows_d, p.Number("row count"));
-    ISLA_RETURN_NOT_OK(p.Expect("blocks"));
-    ISLA_ASSIGN_OR_RETURN(double blocks_d, p.Number("block count"));
-    uint64_t seed = options_.seed;
-    uint64_t group_keys = 0;
-    bool seen_seed = false, seen_groups = false;
-    while (!p.AtEnd()) {
-      if (p.Accept("seed")) {
-        if (seen_seed) {
-          return Status::InvalidArgument("duplicate SEED clause");
-        }
-        seen_seed = true;
-        ISLA_ASSIGN_OR_RETURN(double seed_d, p.Number("seed"));
-        // Range-checked: the double → uint64_t cast is UB out of range,
-        // and sessions are reachable from remote query-server clients.
-        if (!(seed_d >= 0.0) || !(seed_d < 18446744073709551616.0)) {
-          return Status::InvalidArgument("SEED out of uint64 range");
-        }
-        seed = static_cast<uint64_t>(seed_d);
-        continue;
-      }
-      if (p.Accept("groups")) {
-        if (seen_groups) {
-          return Status::InvalidArgument("duplicate GROUPS clause");
-        }
-        seen_groups = true;
-        ISLA_ASSIGN_OR_RETURN(double groups_d, p.Number("group cardinality"));
-        if (!(groups_d >= 1.0 && groups_d <= 4096.0)) {
-          return Status::InvalidArgument("need 1 <= GROUPS <= 4096");
-        }
-        group_keys = static_cast<uint64_t>(groups_d);
-        continue;
-      }
-      break;
-    }
-    if (!(rows_d >= 1.0) || !(blocks_d >= 1.0) || blocks_d > rows_d) {
-      return Status::InvalidArgument("need rows >= blocks >= 1");
-    }
-    if (!(rows_d < 18446744073709551616.0)) {
-      return Status::InvalidArgument("ROWS out of uint64 range");
-    }
-    uint64_t rows = static_cast<uint64_t>(rows_d);
-    uint64_t blocks = static_cast<uint64_t>(blocks_d);
+    const uint64_t seed = create.seed.value_or(options_.seed);
     // A GROUPS clause adds a row-aligned "grp" key column: same block
     // layout, independent generator streams.
     std::shared_ptr<const stats::Distribution> key_dist;
-    if (group_keys > 0) {
+    if (create.groups > 0) {
       ISLA_RETURN_NOT_OK(table->AddColumn(kGroupColumn));
       key_dist =
-          std::make_shared<stats::DiscreteUniformDistribution>(group_keys);
+          std::make_shared<stats::DiscreteUniformDistribution>(create.groups);
     }
-    uint64_t base = rows / blocks;
-    uint64_t extra = rows % blocks;
-    for (uint64_t j = 0; j < blocks; ++j) {
+    uint64_t base = create.rows / create.blocks;
+    uint64_t extra = create.rows % create.blocks;
+    for (uint64_t j = 0; j < create.blocks; ++j) {
       uint64_t block_rows = base + (j < extra ? 1 : 0);
       ISLA_RETURN_NOT_OK(table->AppendBlock(
           kDefaultColumn,
@@ -297,30 +120,36 @@ Result<std::string> Session::CreateTable(std::string_view statement) {
                 SplitMix64::Hash(seed ^ kGroupSeedSalt, j))));
       }
     }
-    response << "created table " << name << " from " << dist->Name() << ", "
-             << rows << " virtual rows in " << blocks << " blocks";
-    if (group_keys > 0) {
-      response << " (+ column '" << kGroupColumn << "' with " << group_keys
+    response << "created table " << create.table << " from " << dist->Name()
+             << ", " << create.rows << " virtual rows in " << create.blocks
+             << " blocks";
+    if (create.groups > 0) {
+      response << " (+ column '" << kGroupColumn << "' with " << create.groups
                << " keys)";
     }
-  }
-  if (!p.AtEnd()) {
-    return Status::InvalidArgument("trailing tokens after CREATE TABLE");
   }
   ISLA_RETURN_NOT_OK(catalog_.AddTable(std::move(table)));
   return response.str();
 }
 
-Result<std::string> Session::DropTable(std::string_view statement) {
-  DdlParser p(Lex(statement));
-  ISLA_RETURN_NOT_OK(p.Expect("drop"));
-  ISLA_RETURN_NOT_OK(p.Expect("table"));
-  ISLA_ASSIGN_OR_RETURN(std::string name, p.Identifier("table name"));
-  if (!p.AtEnd()) {
-    return Status::InvalidArgument("trailing tokens after DROP TABLE");
-  }
+Result<std::string> Session::DropTable(const std::string& name) {
   ISLA_RETURN_NOT_OK(catalog_.DropTable(name));
   return "dropped table " + name;
+}
+
+Result<std::string> Session::Show(ShowStatement::Target target) const {
+  switch (target) {
+    case ShowStatement::Target::kTables:
+      return ShowTables();
+    case ShowStatement::Target::kSettings:
+      return ShowSettings();
+    case ShowStatement::Target::kStats:
+      return ShowStats();
+    case ShowStatement::Target::kServerStats:
+      break;
+  }
+  return Status::InvalidArgument(
+      "SHOW SERVER STATS is answered by the query server, not a session");
 }
 
 Result<std::string> Session::ShowTables() const {
@@ -333,10 +162,7 @@ Result<std::string> Session::ShowTables() const {
   return out;
 }
 
-Result<std::string> Session::Describe(std::string_view statement) const {
-  DdlParser p(Lex(statement));
-  if (!p.Accept("describe")) ISLA_RETURN_NOT_OK(p.Expect("desc"));
-  ISLA_ASSIGN_OR_RETURN(std::string name, p.Identifier("table name"));
+Result<std::string> Session::Describe(const std::string& name) const {
   ISLA_ASSIGN_OR_RETURN(auto table, catalog_.GetTable(name));
   std::ostringstream os;
   os << "table " << table->name() << "\n";
@@ -355,24 +181,6 @@ Result<std::string> Session::Describe(std::string_view statement) const {
 }
 
 namespace {
-
-std::string_view AggregateName(AggregateKind kind) {
-  switch (kind) {
-    case AggregateKind::kAvg:
-      return "AVG";
-    case AggregateKind::kSum:
-      return "SUM";
-    case AggregateKind::kCount:
-      return "COUNT";
-    case AggregateKind::kMedian:
-      return "MEDIAN";
-    case AggregateKind::kQuantile:
-      return "QUANTILE";
-    case AggregateKind::kHistogram:
-      return "HISTOGRAM";
-  }
-  return "?";
-}
 
 /// The bracketed contract of a sketch-backed answer: the ±ε rank band at
 /// β, the value band (quantile) or value range (histogram), and the
@@ -405,26 +213,18 @@ std::string HistogramBins(const core::GroupResult& row) {
 
 }  // namespace
 
-Result<std::string> Session::SetOption(std::string_view statement) {
-  DdlParser p(Lex(statement));
-  ISLA_RETURN_NOT_OK(p.Expect("set"));
-  ISLA_ASSIGN_OR_RETURN(std::string name, p.Identifier("option name"));
-  for (char& ch : name) {
-    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  }
-  ISLA_ASSIGN_OR_RETURN(double value, p.Number("option value"));
-  if (!p.AtEnd()) {
-    return Status::InvalidArgument("trailing tokens after SET");
-  }
+Result<std::string> Session::SetOption(const SetStatement& set) {
+  const std::string& name = set.option;
+  const double value = set.value;
 
   // A double → unsigned cast is UB outside the target range, and SET is
   // reachable from any remote query-server client — range-check before
-  // casting, never after.
-  auto to_unsigned = [](double v, double max_exclusive,
-                        uint64_t* out) -> Status {
-    if (!(v >= 0.0) || !(v < max_exclusive)) {
-      return Status::InvalidArgument(
-          "value out of range for an unsigned option");
+  // casting, never after. A fraction is an error, not a truncation.
+  auto to_unsigned = [&name](double v, double max_exclusive,
+                             uint64_t* out) -> Status {
+    if (!(v >= 0.0) || !(v < max_exclusive) || v != std::floor(v)) {
+      return Status::InvalidArgument(name +
+                                     " takes a whole number in range");
     }
     *out = static_cast<uint64_t>(v);
     return Status::OK();
@@ -509,21 +309,18 @@ Result<std::string> Session::ShowStats() const {
   return os.str();
 }
 
-Result<std::string> Session::Select(std::string_view statement,
+Result<std::string> Session::Select(const QuerySpec& spec,
                                     const PartialSink& sink) const {
-  QueryExecutor executor(&catalog_, options_, scheduler_);
-  QueryDefaults defaults;
-  defaults.precision = options_.precision;
-  defaults.confidence = options_.confidence;
-  ISLA_ASSIGN_OR_RETURN(QuerySpec spec, ParseQuery(statement, defaults));
-  // A nonzero `stream` setting turns eligible single-answer ISLA queries
+  // A nonzero `stream` setting turns ungrouped, unfiltered ISLA AVG and SUM
   // into an online-refinement ladder (partials via the sink); everything
-  // else runs single-shot exactly as before.
+  // else runs single-shot.
   if (stream_rounds_ > 0 && spec.method == Method::kIsla &&
       !spec.where.has_value() && spec.group_by.empty() &&
-      spec.aggregate != AggregateKind::kCount) {
+      (spec.aggregate == AggregateKind::kAvg ||
+       spec.aggregate == AggregateKind::kSum)) {
     return SelectStreaming(spec, sink);
   }
+  QueryExecutor executor(&catalog_, options_, scheduler_);
   ISLA_ASSIGN_OR_RETURN(QueryResult r, executor.Execute(spec));
   std::ostringstream os;
   os.setf(std::ios::fixed);

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "core/options.h"
 #include "engine/executor.h"
+#include "engine/query.h"
 #include "storage/table.h"
 
 namespace isla {
@@ -36,7 +37,8 @@ struct PartialAnswer {
 using PartialSink = std::function<Status(const PartialAnswer&)>;
 
 /// An interactive session: owns a catalog and understands a small DDL on
-/// top of the approximate-query dialect. Statements:
+/// top of the approximate-query dialect (engine::ParseStatement parses
+/// both). Statements:
 ///
 ///   CREATE TABLE t FROM NORMAL(mu, sigma) ROWS n BLOCKS b [SEED s] [GROUPS g]
 ///   CREATE TABLE t FROM EXPONENTIAL(gamma) ROWS n BLOCKS b [SEED s] [GROUPS g]
@@ -45,23 +47,25 @@ using PartialSink = std::function<Status(const PartialAnswer&)>;
 ///   DROP TABLE t
 ///   SHOW TABLES
 ///   DESCRIBE t
-///   SELECT AVG(c)|SUM(c)|COUNT(c) FROM t [WHERE c op lit] [GROUP BY c]
+///   SELECT AVG(c)|SUM(c)|COUNT(c)|MEDIAN(c)|QUANTILE(c, q)|HISTOGRAM(c, k)
+///          FROM t [WHERE c op lit] [GROUP BY c [TOP k]]
 ///          [WITHIN e] [CONFIDENCE b] [USING method]
 ///   SET precision|confidence|parallelism|seed|pilot|rate_scale|stream <value>
 ///   SHOW SETTINGS
 ///   SHOW STATS
 ///
 /// Distribution-backed tables create generator (virtual) blocks under a
-/// single column named "value"; n may use scientific notation (1e9). A
-/// GROUPS g clause adds a row-aligned "grp" column with keys {0..g-1} so
-/// grouped queries have something to group on. Execute() returns a
-/// human-readable response string for the REPL.
+/// single column named "value"; n, b, s and g are whole numbers and may use
+/// scientific notation (1e9). A GROUPS g clause adds a row-aligned "grp"
+/// column with keys {0..g-1} so grouped queries have something to group
+/// on. Execute() returns a human-readable response string for the REPL.
 ///
 /// SET retunes this session's engine options (the per-session IslaOptions
 /// the query server hands each connection); values are validated as a
 /// whole, so a SET that would make the options inconsistent is rejected
-/// and the previous settings stay in force. Queries without an explicit
-/// WITHIN/CONFIDENCE clause default to the session's current values.
+/// and the previous settings stay in force. parallelism, seed, pilot and
+/// stream take whole numbers. Queries without an explicit WITHIN/CONFIDENCE
+/// clause default to the session's current values.
 ///
 /// `SET stream R` (R in 0..16, default 0) turns plain `SELECT AVG|SUM
 /// ... USING isla` statements into R-round online aggregations: round r
@@ -81,6 +85,14 @@ class Session {
   Result<std::string> Execute(std::string_view statement,
                               const PartialSink& sink);
 
+  /// Runs a parsed statement. Its fields must hold what ParseStatement
+  /// guarantees (engine/query.h): the session does not re-check them.
+  Result<std::string> Execute(const Statement& statement,
+                              const PartialSink& sink);
+
+  /// The WITHIN/CONFIDENCE defaults this session's statements parse with.
+  QueryDefaults query_defaults() const;
+
   /// Routes this session's sampled grouped queries through a shared scan
   /// scheduler (nullable, unowned, must outlive the session). The query
   /// server installs its process-wide scheduler here so sessions share
@@ -93,15 +105,16 @@ class Session {
   uint32_t stream_rounds() const { return stream_rounds_; }
 
  private:
-  Result<std::string> CreateTable(std::string_view statement);
-  Result<std::string> DropTable(std::string_view statement);
+  Result<std::string> CreateTable(const CreateTableStatement& create);
+  Result<std::string> DropTable(const std::string& name);
+  Result<std::string> Show(ShowStatement::Target target) const;
   Result<std::string> ShowTables() const;
-  Result<std::string> Describe(std::string_view statement) const;
-  Result<std::string> Select(std::string_view statement,
+  Result<std::string> Describe(const std::string& name) const;
+  Result<std::string> Select(const QuerySpec& spec,
                              const PartialSink& sink) const;
   Result<std::string> SelectStreaming(const QuerySpec& spec,
                                       const PartialSink& sink) const;
-  Result<std::string> SetOption(std::string_view statement);
+  Result<std::string> SetOption(const SetStatement& set);
   Result<std::string> ShowSettings() const;
   Result<std::string> ShowStats() const;
 

@@ -9,7 +9,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "engine/query.h"
@@ -34,27 +34,6 @@ int64_t NowMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// True for `SHOW SERVER STATS` (case-insensitive; whitespace and `;`
-/// separate tokens, as in the session's lexer). The server answers this
-/// one itself — it is about the process, not the session, so
-/// engine::Session never sees it.
-bool IsShowServerStats(std::string_view statement) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : statement) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ';') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens.size() == 3 && tokens[0] == "show" && tokens[1] == "server" &&
-         tokens[2] == "stats";
 }
 
 }  // namespace
@@ -134,7 +113,7 @@ struct QueryServer::ClientSession {
 
   // Loop-thread-only.
   std::string inbuf;                   // raw bytes, possibly mid-frame
-  std::deque<std::string> pending;     // parsed, not-yet-dispatched statements
+  std::deque<std::string> pending;     // framed, not-yet-dispatched statements
   bool executing = false;              // one statement in flight at most:
                                        // that is what keeps pipelined
                                        // responses in statement order
@@ -367,10 +346,10 @@ void QueryServer::ReadInput(const std::shared_ptr<ClientSession>& s) {
     CloseSession(s);  // ECONNRESET and friends: the peer is gone.
     return;
   }
-  ParseStatements(s);
+  DecodeFrames(s);
 }
 
-void QueryServer::ParseStatements(const std::shared_ptr<ClientSession>& s) {
+void QueryServer::DecodeFrames(const std::shared_ptr<ClientSession>& s) {
   size_t off = 0;
   while (s->inbuf.size() - off >= kFrameHeaderBytes) {
     auto header = DecodeFrameHeader(s->inbuf.data() + off);
@@ -398,17 +377,26 @@ void QueryServer::ParseStatements(const std::shared_ptr<ClientSession>& s) {
 void QueryServer::Advance(const std::shared_ptr<ClientSession>& s) {
   if (s->dead) return;
   while (!s->executing && !s->close_after_flush && !s->pending.empty()) {
-    std::string statement = std::move(s->pending.front());
+    std::string text = std::move(s->pending.front());
     s->pending.pop_front();
-    if (statement == "quit" || statement == "exit") {
+    if (text == "quit" || text == "exit") {
       (void)EnqueueFrame(s, "ok\nbye");
       s->close_after_flush = true;
       s->pending.clear();  // nothing after quit runs
       break;
     }
-    if (IsShowServerStats(statement)) {
-      // Answered on the loop thread, but through the same pending queue as
-      // everything else, so pipelined responses stay in statement order.
+    // Parsed here, when none of the session's statements is executing, so
+    // a pipelined SET is already the default of the SELECT after it.
+    Result<engine::Statement> statement =
+        engine::ParseStatement(text, s->session.query_defaults());
+    const auto* show =
+        statement.ok() ? std::get_if<engine::ShowStatement>(&*statement)
+                       : nullptr;
+    if (show != nullptr &&
+        show->target == engine::ShowStatement::Target::kServerStats) {
+      // It is about the process, not the session: answered on the loop
+      // thread, but through the same pending queue as everything else, so
+      // pipelined responses stay in statement order.
       (void)EnqueueFrame(s, "ok\n" + StatsText());
       continue;
     }
@@ -421,8 +409,9 @@ void QueryServer::Advance(const std::shared_ptr<ClientSession>& s) {
   UpdateInterest(s);
 }
 
-void QueryServer::ExecuteStatement(const std::shared_ptr<ClientSession>& s,
-                                   const std::string& statement) {
+void QueryServer::ExecuteStatement(
+    const std::shared_ptr<ClientSession>& s,
+    const Result<engine::Statement>& statement) {
   auto start = std::chrono::steady_clock::now();
   // Streaming statements push one PARTIAL frame per refinement round. An
   // enqueue failure (client gone, or its outbound buffer over the
@@ -438,20 +427,19 @@ void QueryServer::ExecuteStatement(const std::shared_ptr<ClientSession>& s,
     frame.confidence = pa.confidence;
     return EnqueueFrame(s, EncodePartialFrame(frame));
   };
-  Result<std::string> response = s->session.Execute(statement, sink);
+  Result<std::string> response =
+      statement.ok() ? s->session.Execute(*statement, sink)
+                     : Result<std::string>(statement.status());
   uint64_t micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  // The scan tag is the parsed table name: a successful statement that
-  // does not parse as a query (CREATE, SHOW, SET, ...) scanned nothing.
-  std::string table;
-  if (response.ok()) {
-    if (auto spec = engine::ParseQuery(statement); spec.ok()) {
-      table = std::move(spec->table);
-    }
-  }
-  stats_.RecordStatement(micros, table);
+  // The scan tag is the table a successful SELECT read; every other
+  // statement scanned nothing.
+  const auto* spec =
+      statement.ok() ? std::get_if<engine::QuerySpec>(&*statement) : nullptr;
+  stats_.RecordStatement(
+      micros, response.ok() && spec != nullptr ? spec->table : "");
   if (response.ok()) {
     (void)EnqueueFrame(s, "ok\n" + *response);
   } else {

@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/options.h"
+#include "engine/query.h"
 #include "engine/scan_scheduler.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
@@ -39,12 +40,12 @@ struct QueryServerOptions {
   /// Event-loop reactor threads. Each loop multiplexes its share of the
   /// sessions; 2 loops drive thousands of connections, so this stays small.
   unsigned io_threads = 2;
-  /// Statement-executor threads (the CPU-bound side: parsing + sampling).
+  /// Statement-executor threads (the CPU-bound side: sampling).
   /// 0 sizes to max(4, hardware_concurrency). Statements beyond this run
   /// concurrently queue FIFO; per-session order is always preserved.
   unsigned exec_threads = 0;
-  /// Per-session admission control: statements a client may have parsed
-  /// but not yet executed. When the queue is full the server simply stops
+  /// Per-session admission control: statements a client may have sent but
+  /// not yet had dispatched. When the queue is full the server simply stops
   /// reading that session's socket (TCP backpressure) until it drains —
   /// ordering is preserved and memory stays bounded.
   size_t max_pending_statements = 8;
@@ -127,7 +128,7 @@ class QueryServer {
   void OnSessionEvent(const std::shared_ptr<ClientSession>& s,
                       uint32_t events);
   void ReadInput(const std::shared_ptr<ClientSession>& s);
-  void ParseStatements(const std::shared_ptr<ClientSession>& s);
+  void DecodeFrames(const std::shared_ptr<ClientSession>& s);
   void FlushOutput(const std::shared_ptr<ClientSession>& s);
   /// Recomputes the session's epoll interest set (read-pause backpressure,
   /// write interest) and closes drained/finished sessions. Loop thread.
@@ -137,14 +138,16 @@ class QueryServer {
   /// high-water mark — streaming statements use that to abort.
   Status EnqueueFrame(const std::shared_ptr<ClientSession>& s,
                       std::string_view payload);
-  /// Pump the session state machine: dispatch the next statement, refresh
-  /// epoll interest, close if drained. Runs on the session's loop.
+  /// Pump the session state machine: parse and dispatch the next
+  /// statement, refresh epoll interest, close if drained. Runs on the
+  /// session's loop.
   void Advance(const std::shared_ptr<ClientSession>& s);
   void CloseSession(const std::shared_ptr<ClientSession>& s);
 
-  /// Runs one statement on an executor thread and enqueues the response.
+  /// Runs one parsed statement (or reports its parse error) on an executor
+  /// thread and enqueues the response.
   void ExecuteStatement(const std::shared_ptr<ClientSession>& s,
-                        const std::string& statement);
+                        const Result<engine::Statement>& statement);
 
   QueryServerOptions options_;
   engine::ScanScheduler scheduler_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
+
 #include "engine/query.h"
 
 namespace isla {
@@ -332,6 +338,204 @@ TEST(ParseQuery, MalformedCorpusFailsCleanlyWithOffsets) {
   }
 }
 
+TEST(ParseStatement, MalformedDdlCorpusFailsCleanlyWithOffsets) {
+  // The DDL, SHOW and SET statements share the SELECT grammar's tokenizer
+  // and helpers, so every rejection is a position-annotated
+  // InvalidArgument too.
+  const char* corpus[] = {
+      // Fractions where whole numbers belong.
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10.9 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2.5",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 GROUPS 2.5",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 SEED 1.5",
+      // 2^64: static_cast<double>(UINT64_MAX) rounds up to it.
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 "
+      "SEED 18446744073709551616",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 18446744073709551616 BLOCKS 2",
+      // Other out-of-range integers.
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 1e300 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 0 BLOCKS 0",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 1 BLOCKS 5",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 SEED -5",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 GROUPS 0",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 GROUPS 4097",
+      // Bad distributions.
+      "CREATE TABLE t FROM GAUSSIAN(1, 2) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL(1) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL(1, 2, 3) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL(0, -1) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM EXPONENTIAL(0) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM UNIFORM(5, 5) ROWS 10 BLOCKS 2",
+      "CREATE TABLE t FROM NORMAL('0', 1) ROWS 10 BLOCKS 2",
+      // Clause damage.
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 SEED 1 SEED 2",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 GROUPS 3 GROUPS 5",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2 junk",
+      "CREATE TABLE t FROM NORMAL(0, 1) BLOCKS 2 ROWS 10",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10",
+      "CREATE TABLE t FROM NORMAL(0, 1) ROWS 10 BLOCKS 2; SEED 1",
+      "CREATE TABLE 't' FROM NORMAL(0, 1) ROWS 10 BLOCKS 2",
+      "CREATE TABLE a=b FROM NORMAL(0, 1) ROWS 10 BLOCKS 2",
+      "CREATE TABLE",
+      "CREATE t",
+      // FILES damage.
+      "CREATE TABLE t FROM FILES('/tmp/x.islb)",
+      "CREATE TABLE t FROM FILES()",
+      "CREATE TABLE t FROM FILES('a.islb' 'b.islb')",
+      "CREATE TABLE t FROM FILES('a.islb',)",
+      "CREATE TABLE t FROM FILES(a=b.islb)",
+      "CREATE TABLE t FROM FILES('a.islb') ROWS 10",
+      // DROP / DESCRIBE.
+      "DESCRIBE t junk",
+      "DESCRIBE 't'",
+      "DESCRIBE",
+      "DROP TABLE t junk",
+      "DROP TABLE",
+      "DROP t",
+      // SHOW.
+      "SHOW",
+      "SHOW BOGUS",
+      "SHOW TABLES junk",
+      "SHOW; TABLES",
+      "SHOW SERVER",
+      "SHOW SERVER STATS junk",
+      // SET.
+      "SET",
+      "SET precision",
+      "SET precision abc",
+      "SET precision 0.2 junk",
+      "SET 'precision' 0.5",
+      // Not a statement.
+      "",
+      "   ",
+      ";",
+      "FROB TABLE t",
+      "'select' AVG(v) FROM t",
+  };
+  for (const char* sql : corpus) {
+    auto statement = ParseStatement(sql);
+    ASSERT_FALSE(statement.ok()) << "accepted: " << sql;
+    EXPECT_TRUE(statement.status().IsInvalidArgument())
+        << sql << ": " << statement.status();
+    EXPECT_NE(statement.status().message().find("offset"), std::string::npos)
+        << sql << ": " << statement.status();
+  }
+}
+
+TEST(ParseStatement, SelectIsTheSpecParseQueryReturns) {
+  QueryDefaults defaults;
+  defaults.precision = 0.3;
+  defaults.confidence = 0.9;
+  const char* sql = "SELECT MEDIAN(v) FROM t WHERE k > 2 GROUP BY g TOP 3;";
+  auto statement = ParseStatement(sql, defaults);
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  const auto* spec = std::get_if<QuerySpec>(&*statement);
+  ASSERT_NE(spec, nullptr);
+  EXPECT_EQ(PrintQuery(*spec), PrintQuery(*ParseQuery(sql, defaults)));
+  EXPECT_EQ(spec->precision, 0.3);
+  EXPECT_EQ(spec->confidence, 0.9);
+}
+
+TEST(ParseStatement, CreateTableFromADistribution) {
+  using Source = CreateTableStatement::Source;
+  // SEED and GROUPS come in either order.
+  auto statement = ParseStatement(
+      "create table Sales from Normal(100, 2e1) rows 1e6 blocks 8 "
+      "groups 16 seed 18446744073709549568;");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  const auto* create = std::get_if<CreateTableStatement>(&*statement);
+  ASSERT_NE(create, nullptr);
+  EXPECT_EQ(create->table, "Sales");  // Identifiers keep their case.
+  EXPECT_EQ(create->source, Source::kNormal);
+  EXPECT_EQ(create->params, (std::vector<double>{100.0, 20.0}));
+  EXPECT_TRUE(create->files.empty());
+  EXPECT_EQ(create->rows, 1'000'000u);
+  EXPECT_EQ(create->blocks, 8u);
+  EXPECT_EQ(create->groups, 16u);
+  // The largest double below 2^64 is a valid seed.
+  EXPECT_EQ(create->seed, std::optional<uint64_t>(18446744073709549568ULL));
+
+  statement =
+      ParseStatement("CREATE TABLE e FROM EXPONENTIAL(0.1) ROWS 10 BLOCKS 10");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  create = std::get_if<CreateTableStatement>(&*statement);
+  ASSERT_NE(create, nullptr);
+  EXPECT_EQ(create->source, Source::kExponential);
+  EXPECT_EQ(create->params, std::vector<double>{0.1});
+  EXPECT_EQ(create->rows, 10u);
+  EXPECT_EQ(create->blocks, 10u);
+  EXPECT_FALSE(create->seed.has_value());
+  EXPECT_EQ(create->groups, 0u);
+
+  statement =
+      ParseStatement("CREATE TABLE u FROM UNIFORM(1, 199) ROWS 5 BLOCKS 1");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  create = std::get_if<CreateTableStatement>(&*statement);
+  ASSERT_NE(create, nullptr);
+  EXPECT_EQ(create->source, Source::kUniform);
+  EXPECT_EQ(create->params, (std::vector<double>{1.0, 199.0}));
+}
+
+TEST(ParseStatement, CreateTableFromFiles) {
+  auto statement = ParseStatement(
+      "CREATE TABLE f FROM FILES('/tmp/a b.islb', rel/b.islb, \"c=d.islb\")");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  const auto* create = std::get_if<CreateTableStatement>(&*statement);
+  ASSERT_NE(create, nullptr);
+  EXPECT_EQ(create->table, "f");
+  EXPECT_EQ(create->source, CreateTableStatement::Source::kFiles);
+  EXPECT_EQ(create->files, (std::vector<std::string>{
+                               "/tmp/a b.islb", "rel/b.islb", "c=d.islb"}));
+  EXPECT_TRUE(create->params.empty());
+}
+
+TEST(ParseStatement, DropTable) {
+  auto statement = ParseStatement("drop table BigT ;");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  const auto* drop = std::get_if<DropTableStatement>(&*statement);
+  ASSERT_NE(drop, nullptr);
+  EXPECT_EQ(drop->table, "BigT");
+}
+
+TEST(ParseStatement, DescribeAndItsShortForm) {
+  for (const char* sql : {"DESCRIBE T", "desc T;"}) {
+    auto statement = ParseStatement(sql);
+    ASSERT_TRUE(statement.ok()) << sql << ": " << statement.status();
+    const auto* describe = std::get_if<DescribeStatement>(&*statement);
+    ASSERT_NE(describe, nullptr) << sql;
+    EXPECT_EQ(describe->table, "T");
+  }
+}
+
+TEST(ParseStatement, ShowTargets) {
+  using Target = ShowStatement::Target;
+  const std::pair<const char*, Target> cases[] = {
+      {"SHOW TABLES", Target::kTables},
+      {"show settings;", Target::kSettings},
+      {"Show Stats", Target::kStats},
+      {"SHOW SERVER STATS", Target::kServerStats},
+      {"show server stats ;", Target::kServerStats},
+  };
+  for (const auto& [sql, target] : cases) {
+    auto statement = ParseStatement(sql);
+    ASSERT_TRUE(statement.ok()) << sql << ": " << statement.status();
+    const auto* show = std::get_if<ShowStatement>(&*statement);
+    ASSERT_NE(show, nullptr) << sql;
+    EXPECT_EQ(show->target, target) << sql;
+  }
+}
+
+TEST(ParseStatement, SetLowerCasesTheOptionAndKeepsTheValue) {
+  // The grammar reads every value as a number; whether an option takes a
+  // fraction is the session's call.
+  auto statement = ParseStatement("SET Parallelism 2.7;");
+  ASSERT_TRUE(statement.ok()) << statement.status();
+  const auto* set = std::get_if<SetStatement>(&*statement);
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->option, "parallelism");
+  EXPECT_EQ(set->value, 2.7);
+}
+
 TEST(PrintQuery, LiteralsRoundTripExactly) {
   QuerySpec spec;
   spec.column = "v";
@@ -346,6 +550,15 @@ TEST(PrintQuery, LiteralsRoundTripExactly) {
   ASSERT_TRUE(reparsed.ok()) << PrintQuery(spec);
   EXPECT_EQ(reparsed->where->literal, 0.1 + 0.2);
   EXPECT_EQ(reparsed->precision, 1.0 / 3.0);
+}
+
+TEST(AggregateName, SpellsEachAggregate) {
+  EXPECT_EQ(AggregateName(AggregateKind::kAvg), "AVG");
+  EXPECT_EQ(AggregateName(AggregateKind::kSum), "SUM");
+  EXPECT_EQ(AggregateName(AggregateKind::kCount), "COUNT");
+  EXPECT_EQ(AggregateName(AggregateKind::kMedian), "MEDIAN");
+  EXPECT_EQ(AggregateName(AggregateKind::kQuantile), "QUANTILE");
+  EXPECT_EQ(AggregateName(AggregateKind::kHistogram), "HISTOGRAM");
 }
 
 TEST(MethodName, RoundTripNames) {

@@ -496,6 +496,37 @@ TEST(QueryServerLoop, ShowServerStatsAcceptsTrailingSemicolon) {
   server.Stop();
 }
 
+TEST(QueryServerLoop, PipelinedSetBecomesTheNextSelectDefault) {
+  // A statement is parsed when it is dispatched, after every statement
+  // before it has run, so a SET sent in the same write as a SELECT already
+  // supplies the SELECT's default precision.
+  QueryServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = TcpConnect("127.0.0.1", server.port(), 2'000);
+  ASSERT_TRUE(conn.ok());
+  (*conn)->set_deadline_millis(30'000);
+  ASSERT_TRUE((*conn)->RecvFrame().ok());  // greeting
+  ASSERT_TRUE(
+      (*conn)
+          ->SendFrame("CREATE TABLE t FROM NORMAL(100, 20) ROWS 1e5 BLOCKS 2")
+          .ok());
+  auto created = (*conn)->RecvFrame();
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_EQ(created->rfind("ok\n", 0), 0u) << *created;
+
+  ASSERT_TRUE((*conn)
+                  ->SendRaw(EncodeFrame("SET precision 0.7") +
+                            EncodeFrame("SELECT AVG(value) FROM t"))
+                  .ok());
+  auto set = (*conn)->RecvFrame();
+  ASSERT_TRUE(set.ok()) << set.status();
+  EXPECT_EQ(set->rfind("ok\n", 0), 0u) << *set;
+  auto select = (*conn)->RecvFrame();
+  ASSERT_TRUE(select.ok()) << select.status();
+  EXPECT_NE(select->find("precision=+/-0.7"), std::string::npos) << *select;
+  server.Stop();
+}
+
 TEST(ServerStats, LatencyHistogramPercentilesAreOrdered) {
   stats::LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.Record(100);     // the p50 cluster

@@ -324,6 +324,46 @@ TEST(Session, SetPrecisionBecomesTheSelectDefault) {
   EXPECT_NE(r->find("precision=+/-0.9"), std::string::npos) << *r;
 }
 
+TEST(Session, SetRejectsFractionsForWholeNumberOptions) {
+  // The grammar reads SET values as numbers; parallelism, stream and pilot
+  // are counts, so a fraction is an error and not a silent truncation.
+  Session s;
+  auto before = s.Execute("SHOW SETTINGS");
+  ASSERT_TRUE(before.ok()) << before.status();
+  for (const char* statement :
+       {"SET parallelism 2.7", "SET stream 1.9", "SET pilot 10.5"}) {
+    EXPECT_TRUE(s.Execute(statement).status().IsInvalidArgument())
+        << statement;
+  }
+  auto after = s.Execute("SHOW SETTINGS");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(*after, *before);
+}
+
+TEST(Session, StreamingAppliesOnlyToAvgAndSum) {
+  // The online ladder refines an AVG-shaped estimate. The sketch aggregates
+  // keep their own single-shot answer and rank band under SET stream
+  // instead of printing the streamed AVG under their name.
+  Session s;
+  ASSERT_TRUE(
+      s.Execute("CREATE TABLE t FROM EXPONENTIAL(0.1) ROWS 1e6 BLOCKS 4 "
+                "SEED 3")
+          .ok());
+  ASSERT_TRUE(s.Execute("SET stream 3").ok());
+  for (const char* statement :
+       {"SELECT MEDIAN(value) FROM t WITHIN 0.05",
+        "SELECT QUANTILE(value, 0.9) FROM t WITHIN 0.05",
+        "SELECT HISTOGRAM(value, 4) FROM t WITHIN 0.05"}) {
+    auto r = s.Execute(statement);
+    ASSERT_TRUE(r.ok()) << statement << ": " << r.status();
+    EXPECT_NE(r->find("rank +/- "), std::string::npos) << *r;
+    EXPECT_EQ(r->find("rounds="), std::string::npos) << *r;
+  }
+  auto avg = s.Execute("SELECT AVG(value) FROM t WITHIN 0.05");
+  ASSERT_TRUE(avg.ok()) << avg.status();
+  EXPECT_NE(avg->find("rounds=3"), std::string::npos) << *avg;
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace isla

@@ -27,15 +27,19 @@ constexpr char kHelp[] = R"(statements:
   DROP TABLE t
   SHOW TABLES
   DESCRIBE t
-  SELECT AVG(c)|SUM(c)|COUNT(c) FROM t
-         [WHERE c (=|!=|<>|<|<=|>|>=) literal] [GROUP BY c]
+  SELECT AVG(c)|SUM(c)|COUNT(c)|MEDIAN(c)|QUANTILE(c, q)|HISTOGRAM(c, k)
+         FROM t [WHERE c (=|!=|<>|<|<=|>|>=) literal] [GROUP BY c [TOP k]]
          [WITHIN e] [CONFIDENCE b]
          [USING isla|isla_noniid|uniform|stratified|mv|mvb|exact]
-  SET precision|confidence|parallelism|seed|pilot|rate_scale v
+  SET precision|confidence|parallelism|seed|pilot|rate_scale|stream v
   SHOW SETTINGS
+  SHOW STATS
   GROUPS g adds a row-aligned key column 'grp' with keys {0..g-1};
   WHERE/GROUP BY/COUNT run the shared-scan grouped sampler with a
-  per-group (e, b) precision contract.
+  per-group (e, b) precision contract. MEDIAN/QUANTILE/HISTOGRAM report
+  a rank-error band; TOP k keeps the k largest groups. SET stream R
+  answers plain AVG/SUM in R refining rounds. n, b, s, g, k and the
+  parallelism/seed/pilot/stream values are whole numbers (1e6 is one).
   help | quit)";
 
 }  // namespace
