@@ -249,13 +249,12 @@ Status RunGroupedBlockPass(const storage::Block& values,
     // All columns gather the same positions, so (value, pred, key) triples
     // are row-consistent.
     s->values.resize(batch);
-    ISLA_RETURN_NOT_OK(
-        storage::GatherInto(values, s->indices, s->values.data()));
+    ISLA_RETURN_NOT_OK(values.GatherAt(s->indices, s->values.data()));
     const uint8_t* mask = nullptr;
     if (predicate_block != nullptr) {
       s->pred.resize(batch);
       ISLA_RETURN_NOT_OK(
-          storage::GatherInto(*predicate_block, s->indices, s->pred.data()));
+          predicate_block->GatherAt(s->indices, s->pred.data()));
       s->mask.resize(batch);
       EvalPredicateMask(op, {s->pred.data(), batch}, literal,
                         s->mask.data());
@@ -264,8 +263,7 @@ Status RunGroupedBlockPass(const storage::Block& values,
     const double* keys = nullptr;
     if (key_block != nullptr) {
       s->keys.resize(batch);
-      ISLA_RETURN_NOT_OK(
-          storage::GatherInto(*key_block, s->indices, s->keys.data()));
+      ISLA_RETURN_NOT_OK(key_block->GatherAt(s->indices, s->keys.data()));
       keys = s->keys.data();
     }
     ISLA_RETURN_NOT_OK(RouteGroupedBatch(

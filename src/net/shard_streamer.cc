@@ -66,11 +66,6 @@ Result<distributed::ShardBlockChunk> FetchChunk(
   return last;
 }
 
-/// fwrite wrapper returning false on a short write.
-bool WriteAll(std::FILE* f, const void* data, size_t len) {
-  return len == 0 || std::fwrite(data, 1, len, f) == len;
-}
-
 }  // namespace
 
 Result<ShardStreamResult> FetchShard(const Endpoint& donor, uint64_t shard_id,
@@ -84,10 +79,10 @@ Result<ShardStreamResult> FetchShard(const Endpoint& donor, uint64_t shard_id,
 
   ShardStreamResult result;
   std::vector<std::string> created;  // finished files, for failure cleanup
-  // All-or-nothing: any failure removes everything this call wrote, so a
-  // died stream leaves the joiner's directory exactly as it was.
-  auto fail = [&](Status status, const std::string& part_path) -> Status {
-    if (!part_path.empty()) std::remove(part_path.c_str());
+  // All-or-nothing: any failure removes everything this call wrote (an
+  // unfinished column's .part file goes with its writer), so a died stream
+  // leaves the joiner's directory exactly as it was.
+  auto fail = [&](Status status) -> Status {
     for (const std::string& p : created) std::remove(p.c_str());
     return status;
   };
@@ -107,13 +102,12 @@ Result<ShardStreamResult> FetchShard(const Endpoint& donor, uint64_t shard_id,
   for (const ColumnSpec& spec : columns) {
     Result<distributed::ShardBlockChunk> first =
         FetchChunk(&transport, shard_id, spec.column, 0, options);
-    if (!first.ok()) return fail(first.status(), "");
+    if (!first.ok()) return fail(first.status());
     distributed::ShardBlockChunk chunk = *std::move(first);
     if (chunk.column_present == 0) {
       if (spec.column == distributed::kShardColumnValues) {
         return fail(Status::FailedPrecondition(
-                        "donor holds no values block for the shard"),
-                    "");
+            "donor holds no values block for the shard"));
       }
       continue;  // Optional column the donor doesn't have.
     }
@@ -121,58 +115,38 @@ Result<ShardStreamResult> FetchShard(const Endpoint& donor, uint64_t shard_id,
     const std::string path = dest_dir + "/shard_" +
                              std::to_string(shard_id) + "_" + spec.name +
                              ".islb";
-    const std::string part = path + ".part";
-
-    std::FILE* f = std::fopen(part.c_str(), "wb");
-    if (f == nullptr) {
-      return fail(Status::IOError("cannot open for write: " + part), "");
-    }
-    // ISLB header now, payload per chunk, CRC footer at the end — the
-    // same bytes WriteBlockFile would produce, so FileBlock::Open's
+    // The storage writer owns the ISLB layout, so FileBlock::Open's
     // verification (and the data fingerprint) treat streamed and locally
     // written shards identically.
-    const uint32_t version = storage::kBlockFormatVersion;
-    bool ok = WriteAll(f, storage::kBlockMagic, 4) &&
-              WriteAll(f, &version, sizeof(version)) &&
-              WriteAll(f, &total, sizeof(total));
-    uint32_t crc = storage::kCrc32Init;
+    Result<storage::BlockFileWriter> writer =
+        storage::BlockFileWriter::Create(path, total);
+    if (!writer.ok()) return fail(writer.status());
     uint64_t next = 0;
-    while (ok) {
+    for (;;) {
+      if (chunk.rows.size() > total - next) {
+        return fail(
+            Status::Corruption("donor sent rows past the block end"));
+      }
       if (!chunk.rows.empty()) {
-        const size_t bytes = chunk.rows.size() * sizeof(double);
-        ok = WriteAll(f, chunk.rows.data(), bytes);
-        if (!ok) break;
-        crc = storage::Crc32Update(crc, chunk.rows.data(), bytes);
+        Status appended = writer->Append(chunk.rows);
+        if (!appended.ok()) return fail(appended);
         next += chunk.rows.size();
         ++result.chunks;
       } else if (next < total) {
-        std::fclose(f);
         return fail(Status::Corruption(
-                        "donor sent an empty chunk before the block end"),
-                    part);
+            "donor sent an empty chunk before the block end"));
       }
       if (next >= total) break;
       Result<distributed::ShardBlockChunk> more =
           FetchChunk(&transport, shard_id, spec.column, next, options);
-      if (!more.ok()) {
-        std::fclose(f);
-        return fail(more.status(), part);
-      }
+      if (!more.ok()) return fail(more.status());
       chunk = *std::move(more);
       if (chunk.column_present != 1 || chunk.total_rows != total) {
-        std::fclose(f);
-        return fail(Status::Corruption(
-                        "donor changed the block mid-stream"),
-                    part);
+        return fail(Status::Corruption("donor changed the block mid-stream"));
       }
     }
-    const uint32_t footer = storage::Crc32Finalize(crc);
-    ok = ok && WriteAll(f, &footer, sizeof(footer));
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) return fail(Status::IOError("short write to " + part), part);
-    if (std::rename(part.c_str(), path.c_str()) != 0) {
-      return fail(Status::IOError("cannot rename " + part), part);
-    }
+    Status committed = writer->Commit();
+    if (!committed.ok()) return fail(committed);
     created.push_back(path);
     *spec.out_path = path;
     if (spec.column == distributed::kShardColumnValues) result.rows = total;

@@ -203,8 +203,8 @@ Status BlockSampleStream::Next(std::span<const double>* batch) {
   const uint64_t want = std::min<uint64_t>(kGatherBatch, remaining_);
   GenerateUniformIndices(n_, want, rng_, &scratch_->indices);
   scratch_->values.resize(want);
-  ISLA_RETURN_NOT_OK(storage::GatherInto(block_, scratch_->indices,
-                                         scratch_->values.data()));
+  ISLA_RETURN_NOT_OK(
+      block_.GatherAt(scratch_->indices, scratch_->values.data()));
   remaining_ -= want;
   *batch = {scratch_->values.data(), want};
   return Status::OK();
@@ -247,7 +247,7 @@ Status DrawBlockSampleInto(const storage::Block& block, uint64_t k,
   for (uint64_t done = 0; done < k;) {
     const uint64_t batch = std::min<uint64_t>(kGatherBatch, k - done);
     GenerateUniformIndices(n, batch, rng, &s->indices);
-    ISLA_RETURN_NOT_OK(storage::GatherInto(block, s->indices, dst + done));
+    ISLA_RETURN_NOT_OK(block.GatherAt(s->indices, dst + done));
     done += batch;
   }
   return Status::OK();

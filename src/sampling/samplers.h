@@ -83,13 +83,13 @@ void GenerateUniformIndices(uint64_t n, uint64_t count, Xoshiro256* rng,
                             std::vector<uint64_t>* out);
 
 /// Batch iterator over `k` uniform (with replacement) samples of a block:
-/// each Next() draws the next <= kGatherBatch indices, gathers them (via
-/// the block's contiguous view when resident, Block::GatherAt otherwise)
-/// into the scratch arena, and exposes the batch as a span valid until the
-/// following Next(). The concatenated batches are exactly the sample
-/// sequence a value-at-a-time loop would visit — same RNG consumption,
-/// same order — so callers iterate spans instead of paying a per-value
-/// std::function call, and a warmed arena makes iteration allocation-free.
+/// each Next() draws the next <= kGatherBatch indices, gathers them with
+/// one Block::GatherAt call into the scratch arena, and exposes the batch
+/// as a span valid until the following Next(). The concatenated batches
+/// are exactly the sample sequence a value-at-a-time loop would visit —
+/// same RNG consumption, same order — so callers iterate spans instead of
+/// paying a per-value std::function call, and a warmed arena makes
+/// iteration allocation-free.
 class BlockSampleStream {
  public:
   /// `scratch` may be null: the stream then uses an internal arena (one

@@ -60,6 +60,12 @@ Status Block::ReadRange(uint64_t start, uint64_t count,
   if (start > size() || count > size() - start) {
     return Status::OutOfRange("ReadRange past end of block");
   }
+  const std::span<const double> view = ContiguousView();
+  if (!view.empty()) {
+    const std::span<const double> rows = view.subspan(start, count);
+    out->assign(rows.begin(), rows.end());
+    return Status::OK();
+  }
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) out->push_back(ValueAt(start + i));
@@ -68,52 +74,18 @@ Status Block::ReadRange(uint64_t start, uint64_t count,
 
 Status Block::GatherAt(std::span<const uint64_t> indices, double* out) const {
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  const uint64_t n = size();
-  for (uint64_t index : indices) {
-    if (index >= n) return Status::OutOfRange("GatherAt index past end");
-  }
-  for (size_t i = 0; i < indices.size(); ++i) out[i] = ValueAt(indices[i]);
-  return Status::OK();
-}
-
-Status GatherInto(const Block& block, std::span<const uint64_t> indices,
-                  double* out) {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  const std::span<const double> view = block.ContiguousView();
-  if (view.empty()) return block.GatherAt(indices, out);
-  // Resident path through the kernel dispatch table: one vectorized range
-  // check over the whole batch (preserving the no-partial-output contract),
-  // then a hardware-gather resolve where the tier has one.
   const auto& kernels = runtime::kernels::Ops();
-  if (!kernels.indices_in_range(indices.data(), indices.size(),
-                                view.size())) {
+  // One vectorized range check over the whole batch keeps the
+  // no-partial-output contract.
+  if (!kernels.indices_in_range(indices.data(), indices.size(), size())) {
     return Status::OutOfRange("GatherAt index past end");
   }
-  kernels.gather_f64(view.data(), indices.data(), indices.size(), out);
-  return Status::OK();
-}
-
-Status GatherRowsAt(std::span<const Block* const> columns,
-                    std::span<const uint64_t> indices,
-                    std::vector<std::vector<double>>* out) {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  out->resize(columns.size());
-  uint64_t rows = 0;
-  bool have_rows = false;
-  for (size_t c = 0; c < columns.size(); ++c) {
-    if (columns[c] == nullptr) {
-      (*out)[c].clear();
-      continue;
-    }
-    if (!have_rows) {
-      rows = columns[c]->size();
-      have_rows = true;
-    } else if (columns[c]->size() != rows) {
-      return Status::FailedPrecondition(
-          "GatherRowsAt blocks are not row-aligned");
-    }
-    (*out)[c].resize(indices.size());
-    ISLA_RETURN_NOT_OK(GatherInto(*columns[c], indices, (*out)[c].data()));
+  const std::span<const double> view = ContiguousView();
+  if (view.empty()) {
+    for (size_t i = 0; i < indices.size(); ++i) out[i] = ValueAt(indices[i]);
+  } else {
+    // Resident rows: a hardware-gather resolve where the tier has one.
+    kernels.gather_f64(view.data(), indices.data(), indices.size(), out);
   }
   return Status::OK();
 }
@@ -126,29 +98,6 @@ double MemoryBlock::ValueAt(uint64_t index) const {
     return std::numeric_limits<double>::quiet_NaN();
   }
   return values_[index];
-}
-
-Status MemoryBlock::ReadRange(uint64_t start, uint64_t count,
-                              std::vector<double>* out) const {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  if (start > values_.size() || count > values_.size() - start) {
-    return Status::OutOfRange("ReadRange past end of block");
-  }
-  out->assign(values_.begin() + static_cast<ptrdiff_t>(start),
-              values_.begin() + static_cast<ptrdiff_t>(start + count));
-  return Status::OK();
-}
-
-Status MemoryBlock::GatherAt(std::span<const uint64_t> indices,
-                             double* out) const {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  const auto& kernels = runtime::kernels::Ops();
-  if (!kernels.indices_in_range(indices.data(), indices.size(),
-                                values_.size())) {
-    return Status::OutOfRange("GatherAt index past end");
-  }
-  kernels.gather_f64(values_.data(), indices.data(), indices.size(), out);
-  return Status::OK();
 }
 
 std::string MemoryBlock::DebugString() const {

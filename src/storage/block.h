@@ -31,8 +31,9 @@ class Block {
   /// on checked implementations returns quiet NaN in release builds.
   virtual double ValueAt(uint64_t index) const = 0;
 
-  /// Bulk positional read; the default loops over ValueAt. File-backed
-  /// blocks override this with a single vectored read.
+  /// Bulk positional read: out = rows [start, start + count). The default
+  /// copies from ContiguousView() when it is non-empty and loops over
+  /// ValueAt otherwise.
   virtual Status ReadRange(uint64_t start, uint64_t count,
                            std::vector<double>* out) const;
 
@@ -41,16 +42,15 @@ class Block {
   /// values. Fails with OutOfRange if any index >= size() (no partial
   /// output contract in that case). This is the hot path of the sampling
   /// engine — one virtual call per ~4k samples instead of one per sample.
-  /// The default is a tight loop over ValueAt; MemoryBlock resolves it to
-  /// direct indexing and FileBlock to a sorted single-pass read.
+  /// The default resolves a non-empty ContiguousView() with the kernel
+  /// gather (MemoryBlock, FileBlock) and loops over ValueAt otherwise;
+  /// GeneratorBlock overrides it.
   virtual Status GatherAt(std::span<const uint64_t> indices,
                           double* out) const;
 
-  /// Zero-copy view of the whole block when the rows are resident and
-  /// contiguous in memory (MemoryBlock always; FileBlock when mmap-backed).
-  /// Returns an empty span otherwise. Callers holding a non-empty view can
-  /// gather with plain array indexing — no virtual dispatch, no locks, no
-  /// per-batch copy through a chunk cache.
+  /// Zero-copy view of the whole block when its rows are resident and
+  /// contiguous in memory (MemoryBlock, and FileBlock through its mapping).
+  /// Returns an empty span otherwise, and for a block of zero rows.
   virtual std::span<const double> ContiguousView() const { return {}; }
 
   /// Short description for logs ("memory[10000]", "gen[1e10 Normal(...)]").
@@ -94,23 +94,12 @@ class Block {
 
 using BlockPtr = std::shared_ptr<const Block>;
 
-/// Multi-column gather: resolves the same row positions across several
-/// row-aligned blocks (shards of parallel columns), so a sampled index
-/// yields a consistent (value, predicate, key, ...) tuple. `columns[c]` may
-/// be null — its output vector is left empty, letting callers pass optional
-/// predicate/group columns without branching. All non-null blocks must have
-/// equal size; each is resolved with its own batched GatherAt, so file- and
-/// generator-backed blocks keep their optimized access paths.
-Status GatherRowsAt(std::span<const Block* const> columns,
-                    std::span<const uint64_t> indices,
-                    std::vector<std::vector<double>>* out);
-
-/// Single-column batched gather that prefers the contiguous view: resident
-/// blocks are resolved with one devirtualized indexing loop, everything else
-/// falls through to the block's own GatherAt. Same contract as GatherAt
-/// (unsorted/duplicate indices fine, OutOfRange on any index >= size()).
-Status GatherInto(const Block& block, std::span<const uint64_t> indices,
-                  double* out);
+/// Same as block.GatherAt(indices, out), kept as the free-function entry
+/// the repository benchmark (bench_suite/) calls.
+inline Status GatherInto(const Block& block, std::span<const uint64_t> indices,
+                         double* out) {
+  return block.GatherAt(indices, out);
+}
 
 /// An in-memory block: a plain vector of doubles. The workhorse for tests
 /// and small experiments.
@@ -120,10 +109,6 @@ class MemoryBlock : public Block {
 
   uint64_t size() const override { return values_.size(); }
   double ValueAt(uint64_t index) const override;
-  Status ReadRange(uint64_t start, uint64_t count,
-                   std::vector<double>* out) const override;
-  Status GatherAt(std::span<const uint64_t> indices,
-                  double* out) const override;
   std::span<const double> ContiguousView() const override {
     return {values_.data(), values_.size()};
   }

@@ -1,38 +1,25 @@
 #include "storage/file_block.h"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <sstream>
 
-#include "runtime/kernels/kernels.h"
 #include "util/rng.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ISLA_HAVE_MMAP 1
-#include <sys/mman.h>
-#include <sys/types.h>
-#include <unistd.h>
-#endif
 
 namespace isla {
 namespace storage {
 
 namespace {
 
-/// Seeks with a 64-bit offset. fseek takes `long`, which is 32 bits on
-/// ILP32 platforms and silently truncates block files past 2 GiB; fseeko
-/// takes off_t, which POSIX guarantees large enough for any file the system
-/// can hold.
-int Seek64(std::FILE* f, uint64_t byte_offset) {
-#if defined(_WIN32)
-  return _fseeki64(f, static_cast<long long>(byte_offset), SEEK_SET);
-#else
-  return fseeko(f, static_cast<off_t>(byte_offset), SEEK_SET);
-#endif
-}
+constexpr char kBlockMagic[4] = {'I', 'S', 'L', 'B'};
+constexpr uint32_t kBlockFormatVersion = 1;
 
 /// Slice-by-8 CRC32 tables: table[0] is the classic bytewise table, and
 /// table[k][b] is the CRC of byte b followed by k zero bytes, letting the
@@ -94,42 +81,95 @@ uint32_t Crc32(const void* data, size_t len) {
   return Crc32Finalize(Crc32Update(kCrc32Init, data, len));
 }
 
-Status WriteBlockFile(const std::string& path,
-                      std::span<const double> values) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open for write: " + path);
+Result<BlockFileWriter> BlockFileWriter::Create(const std::string& path,
+                                                uint64_t rows) {
+  BlockFileWriter writer(path, rows);
+  writer.file_.reset(std::fopen(writer.part_path_.c_str(), "wb"));
+  if (writer.file_ == nullptr) {
+    return Status::IOError("cannot open for write: " + writer.part_path_);
   }
-  uint64_t count = values.size();
-  bool ok = std::fwrite(kBlockMagic, 1, 4, f) == 4;
-  uint32_t version = kBlockFormatVersion;
-  ok = ok && std::fwrite(&version, sizeof(version), 1, f) == 1;
-  ok = ok && std::fwrite(&count, sizeof(count), 1, f) == 1;
-  if (count > 0) {
-    ok = ok &&
-         std::fwrite(values.data(), sizeof(double), values.size(), f) ==
-             values.size();
+  const uint32_t version = kBlockFormatVersion;
+  std::FILE* f = writer.file_.get();
+  if (std::fwrite(kBlockMagic, 1, 4, f) != 4 ||
+      std::fwrite(&version, sizeof(version), 1, f) != 1 ||
+      std::fwrite(&rows, sizeof(rows), 1, f) != 1) {
+    return writer.Abandon(
+        Status::IOError("short write to " + writer.part_path_));
   }
-  uint32_t crc = Crc32(values.data(), values.size() * sizeof(double));
-  ok = ok && std::fwrite(&crc, sizeof(crc), 1, f) == 1;
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) return Status::IOError("short write to " + path);
+  return writer;
+}
+
+BlockFileWriter::BlockFileWriter(std::string path, uint64_t rows)
+    : path_(std::move(path)), part_path_(path_ + ".part"), rows_(rows) {}
+
+BlockFileWriter::~BlockFileWriter() {
+  if (file_ != nullptr) (void)Abandon(Status::OK());
+}
+
+Status BlockFileWriter::Abandon(Status status) {
+  file_.reset();
+  std::remove(part_path_.c_str());
+  return status;
+}
+
+Status BlockFileWriter::Append(std::span<const double> rows) {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("block writer is closed: " + path_);
+  }
+  if (rows.size() > rows_ - written_) {
+    return Abandon(Status::InvalidArgument(
+        "append past the declared row count of " + path_));
+  }
+  if (rows.empty()) return Status::OK();
+  if (std::fwrite(rows.data(), sizeof(double), rows.size(), file_.get()) !=
+      rows.size()) {
+    return Abandon(Status::IOError("short write to " + part_path_));
+  }
+  crc_ = Crc32Update(crc_, rows.data(), rows.size_bytes());
+  written_ += rows.size();
   return Status::OK();
 }
 
-FileBlock::FileBlock(std::string path, std::FILE* file, uint64_t count,
-                     uint32_t payload_crc)
-    : path_(std::move(path)),
-      file_(file),
-      count_(count),
-      payload_crc_(payload_crc) {}
+Status BlockFileWriter::Commit() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("block writer is closed: " + path_);
+  }
+  if (written_ != rows_) {
+    return Abandon(Status::InvalidArgument(
+        "commit before every declared row was appended to " + path_));
+  }
+  const uint32_t footer = Crc32Finalize(crc_);
+  const bool written =
+      std::fwrite(&footer, sizeof(footer), 1, file_.get()) == 1;
+  // fclose flushes; its result is the last write's.
+  if ((std::fclose(file_.release()) != 0) || !written) {
+    return Abandon(Status::IOError("short write to " + part_path_));
+  }
+  if (std::rename(part_path_.c_str(), path_.c_str()) != 0) {
+    return Abandon(Status::IOError("cannot rename " + part_path_));
+  }
+  return Status::OK();
+}
+
+Status WriteBlockFile(const std::string& path,
+                      std::span<const double> values) {
+  ISLA_ASSIGN_OR_RETURN(BlockFileWriter writer,
+                        BlockFileWriter::Create(path, values.size()));
+  ISLA_RETURN_NOT_OK(writer.Append(values));
+  return writer.Commit();
+}
+
+FileBlock::FileBlock(std::string path, void* map_base, size_t map_len)
+    : path_(std::move(path)), map_base_(map_base), map_len_(map_len) {}
+
+FileBlock::~FileBlock() { ::munmap(map_base_, map_len_); }
 
 uint64_t FileBlock::ContentFingerprint() const {
   // FNV-1a over the path, then the row count and the payload CRC folded
   // through SplitMix64. Including the path means two distinct shard files
-  // that happen to collide in CRC32 can never alias; a file rewritten in
-  // place aliases its old identity only on a CRC32 collision of payloads
-  // with equal row counts.
+  // that happen to collide in CRC32 can never alias; a rewritten file
+  // aliases its old identity only on a CRC32 collision of payloads with
+  // equal row counts.
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : path_) h = (h ^ c) * 0x100000001b3ULL;
   h = SplitMix64::Hash(h, count_);
@@ -144,236 +184,79 @@ uint64_t FileBlock::ComputeDataFingerprint() const {
   return SplitMix64::Hash(count_, payload_crc_);
 }
 
-FileBlock::~FileBlock() {
-#ifdef ISLA_HAVE_MMAP
-  if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
-#endif
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void FileBlock::TryMap() {
-#ifdef ISLA_HAVE_MMAP
-  if (count_ == 0) return;
-  const int fd = ::fileno(file_);
-  if (fd < 0) return;
-  const uint64_t want = BlockPayloadByteOffset(count_) + sizeof(uint32_t);
-  if (want > std::numeric_limits<size_t>::max()) {
-    // A >4 GiB file on a 32-bit address space: the size_t cast below would
-    // truncate and reads past the short mapping would fault. Keep stdio.
-    return;
-  }
-  const size_t len = static_cast<size_t>(want);
-  void* base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (base == MAP_FAILED) return;
-  map_base_ = base;
-  map_len_ = len;
-  // Ask the kernel to start faulting the file in now: positional sampling
-  // touches pages in random order, where demand paging one 4 KiB fault at
-  // a time is the cold-start bottleneck. Only worth it when the sampler
-  // will plausibly touch a meaningful fraction of the file — advising a
-  // multi-GB block would schedule whole-file readahead for a query that
-  // samples a few thousand rows, so the advice is capped by size. Best-
-  // effort: failure (or a platform without madvise) silently keeps plain
-  // demand paging.
-#if defined(MADV_WILLNEED)
-  constexpr size_t kWillNeedCapBytes = size_t{256} << 20;
-  if (len <= kWillNeedCapBytes) (void)::madvise(base, len, MADV_WILLNEED);
-#endif
-  // The payload starts at byte 16 of a page-aligned mapping, so the double
-  // view is 8-byte aligned.
-  payload_ = reinterpret_cast<const double*>(
-      static_cast<const unsigned char*>(base) + kBlockHeaderBytes);
-  // The mapping outlives the descriptor; drop the stdio stream entirely so
-  // the mmap path holds no fd and needs no mutex.
-  std::fclose(file_);
-  file_ = nullptr;
-#endif
-}
-
 Result<std::shared_ptr<FileBlock>> FileBlock::Open(const std::string& path) {
-  return Open(path, FileBlockOptions{});
-}
-
-Result<std::shared_ptr<FileBlock>> FileBlock::Open(
-    const std::string& path, const FileBlockOptions& opts) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-
-  char magic[4];
-  uint32_t version = 0;
-  uint64_t count = 0;
-  if (std::fread(magic, 1, 4, f) != 4 ||
-      std::fread(&version, sizeof(version), 1, f) != 1 ||
-      std::fread(&count, sizeof(count), 1, f) != 1) {
-    std::fclose(f);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open: " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("cannot stat: " + path);
+  }
+  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+  if (file_bytes < kBlockHeaderBytes) {
+    ::close(fd);
     return Status::Corruption("truncated header in " + path);
   }
-  if (std::memcmp(magic, kBlockMagic, 4) != 0) {
-    std::fclose(f);
+  if (file_bytes != static_cast<size_t>(file_bytes)) {
+    ::close(fd);
+    return Status::IOError("too large to map on this platform: " + path);
+  }
+  void* base = ::mmap(nullptr, static_cast<size_t>(file_bytes), PROT_READ,
+                      MAP_PRIVATE, fd, 0);
+  ::close(fd);  // The mapping keeps the file alive without the descriptor.
+  if (base == MAP_FAILED) return Status::IOError("cannot map: " + path);
+  // The block owns the mapping from here, so every early return unmaps it.
+  std::shared_ptr<FileBlock> block(
+      new FileBlock(path, base, static_cast<size_t>(file_bytes)));
+
+  // Header and length checks come first: a payload or footer read past the
+  // end of the file would be a SIGBUS, not an error.
+  const auto* bytes = static_cast<const unsigned char*>(base);
+  uint32_t version = 0;
+  uint64_t count = 0;
+  std::memcpy(&version, bytes + 4, sizeof(version));
+  std::memcpy(&count, bytes + 8, sizeof(count));
+  if (std::memcmp(bytes, kBlockMagic, 4) != 0) {
     return Status::Corruption("bad magic in " + path);
   }
   if (version != kBlockFormatVersion) {
-    std::fclose(f);
     std::ostringstream os;
     os << "unsupported block format version " << version << " in " << path;
     return Status::Corruption(os.str());
   }
-
-  // Verify the payload CRC by streaming once.
-  uint32_t crc = kCrc32Init;
-  std::vector<unsigned char> buf(1 << 16);
-  uint64_t remaining = count * sizeof(double);
-  while (remaining > 0) {
-    size_t want = static_cast<size_t>(
-        std::min<uint64_t>(remaining, buf.size()));
-    if (std::fread(buf.data(), 1, want, f) != want) {
-      std::fclose(f);
-      return Status::Corruption("truncated payload in " + path);
-    }
-    crc = Crc32Update(crc, buf.data(), want);
-    remaining -= want;
+  // Divide instead of multiplying: a forged row count times 8 can wrap.
+  const uint64_t after_header = file_bytes - kBlockHeaderBytes;
+  if (count > after_header / sizeof(double)) {
+    return Status::Corruption("truncated payload in " + path);
   }
-  crc = Crc32Finalize(crc);
-  uint32_t stored = 0;
-  if (std::fread(&stored, sizeof(stored), 1, f) != 1) {
-    std::fclose(f);
+  if (after_header - count * sizeof(double) < sizeof(uint32_t)) {
     return Status::Corruption("missing CRC footer in " + path);
   }
-  if (stored != crc) {
-    std::fclose(f);
-    return Status::Corruption("CRC mismatch in " + path);
-  }
 
-  std::shared_ptr<FileBlock> block(new FileBlock(path, f, count, crc));
-  if (opts.use_mmap) block->TryMap();
+  // The payload starts at byte 16 of a page-aligned mapping, so the double
+  // view is 8-byte aligned.
+  const unsigned char* payload = bytes + kBlockHeaderBytes;
+  const uint32_t crc =
+      Crc32(payload, static_cast<size_t>(count * sizeof(double)));
+  uint32_t stored = 0;
+  std::memcpy(&stored, bytes + BlockPayloadByteOffset(count), sizeof(stored));
+  if (stored != crc) return Status::Corruption("CRC mismatch in " + path);
+
+  block->payload_ = reinterpret_cast<const double*>(payload);
+  block->count_ = count;
+  block->payload_crc_ = crc;
   return block;
-}
-
-Status FileBlock::LoadChunkLocked(uint64_t index) const {
-  uint64_t chunk_start = (index / kChunkRows) * kChunkRows;
-  if (chunk_valid_ && chunk_start == chunk_start_) return Status::OK();
-  uint64_t rows =
-      std::min<uint64_t>(kChunkRows, count_ - chunk_start);
-  if (Seek64(file_, BlockPayloadByteOffset(chunk_start)) != 0) {
-    return Status::IOError("seek failed in " + path_);
-  }
-  chunk_.resize(rows);
-  if (std::fread(chunk_.data(), sizeof(double), rows, file_) != rows) {
-    chunk_valid_ = false;
-    return Status::IOError("read failed in " + path_);
-  }
-  chunk_start_ = chunk_start;
-  chunk_valid_ = true;
-  return Status::OK();
 }
 
 double FileBlock::ValueAt(uint64_t index) const {
   if (index >= count_) return std::numeric_limits<double>::quiet_NaN();
-  if (payload_ != nullptr) return payload_[index];
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!LoadChunkLocked(index).ok()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return chunk_[index - chunk_start_];
-}
-
-Status FileBlock::ReadRange(uint64_t start, uint64_t count,
-                            std::vector<double>* out) const {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  if (start > count_ || count > count_ - start) {
-    return Status::OutOfRange("ReadRange past end of block");
-  }
-  if (payload_ != nullptr) {
-#if defined(ISLA_HAVE_MMAP) && defined(MADV_SEQUENTIAL) && \
-    defined(MADV_NORMAL)
-    // Scan-sized reads (the exact full scan, LoadToMemory) are forward
-    // passes: tell the VM so it doubles readahead and drops pages behind
-    // the cursor instead of treating the scan like the sampler's random
-    // access. The advice is scoped to this read — it is reset to
-    // MADV_NORMAL afterwards, because the same block usually serves
-    // random-order GatherAt next and must not keep scan-style eviction.
-    // Small ranges skip the syscalls; errors are ignored.
-    constexpr uint64_t kSequentialAdviseBytes = 1 << 20;
-    const long page = ::sysconf(_SC_PAGESIZE);
-    const bool advise =
-        count * sizeof(double) >= kSequentialAdviseBytes && page > 0;
-    char* advise_base = nullptr;
-    size_t advise_len = 0;
-    if (advise) {
-      const uint64_t begin =
-          BlockPayloadByteOffset(start) /
-          static_cast<uint64_t>(page) * static_cast<uint64_t>(page);
-      const uint64_t end = BlockPayloadByteOffset(start + count);
-      advise_base = static_cast<char*>(map_base_) + begin;
-      advise_len = static_cast<size_t>(end - begin);
-      (void)::madvise(advise_base, advise_len, MADV_SEQUENTIAL);
-    }
-    out->assign(payload_ + start, payload_ + start + count);
-    if (advise) (void)::madvise(advise_base, advise_len, MADV_NORMAL);
-    return Status::OK();
-#else
-    out->assign(payload_ + start, payload_ + start + count);
-    return Status::OK();
-#endif
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Seek64(file_, BlockPayloadByteOffset(start)) != 0) {
-    return Status::IOError("seek failed in " + path_);
-  }
-  out->resize(count);
-  if (count > 0 &&
-      std::fread(out->data(), sizeof(double), count, file_) != count) {
-    return Status::IOError("read failed in " + path_);
-  }
-  chunk_valid_ = false;  // File position moved; invalidate cache bookkeeping.
-  return Status::OK();
-}
-
-Status FileBlock::GatherAt(std::span<const uint64_t> indices,
-                           double* out) const {
-  if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  const auto& kernels = runtime::kernels::Ops();
-  if (!kernels.indices_in_range(indices.data(), indices.size(), count_)) {
-    return Status::OutOfRange("GatherAt index past end");
-  }
-  if (indices.empty()) return Status::OK();
-
-  if (payload_ != nullptr) {
-    // Zero-copy path: random order is free on a mapping, so no argsort, no
-    // lock, no chunk loads — just (kernel-dispatched) loads from the page
-    // cache.
-    kernels.gather_f64(payload_, indices.data(), indices.size(), out);
-    return Status::OK();
-  }
-
-  // Argsort the batch, then walk positions in increasing order: seeks are
-  // monotone and each chunk is loaded at most once per batch.
-  std::vector<size_t> order(indices.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return indices[a] < indices[b];
-  });
-
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t slot : order) {
-    const uint64_t index = indices[slot];
-    ISLA_RETURN_NOT_OK(LoadChunkLocked(index));
-    out[slot] = chunk_[index - chunk_start_];
-  }
-  return Status::OK();
+  return payload_[index];
 }
 
 std::string FileBlock::DebugString() const {
   std::ostringstream os;
-  os << "file[" << count_ << " " << path_
-     << (payload_ != nullptr ? " mmap" : " stdio") << "]";
+  os << "file[" << count_ << " " << path_ << "]";
   return os.str();
-}
-
-Result<std::shared_ptr<MemoryBlock>> FileBlock::LoadToMemory() const {
-  std::vector<double> values;
-  ISLA_RETURN_NOT_OK(ReadRange(0, count_, &values));
-  return std::make_shared<MemoryBlock>(std::move(values));
 }
 
 }  // namespace storage

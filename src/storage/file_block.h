@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -16,27 +14,26 @@
 namespace isla {
 namespace storage {
 
-/// On-disk block file format (little-endian):
-///
-///   [0..4)   magic "ISLB"
-///   [4..8)   format version (u32, currently 1)
-///   [8..16)  row count (u64)
-///   [16..)   row count f64 payload
-///   footer   CRC32 (u32) over the payload bytes
-///
-/// The paper stores each block as a .txt file; we use a checksummed binary
-/// format, the realistic equivalent for a production system.
-inline constexpr char kBlockMagic[4] = {'I', 'S', 'L', 'B'};
-inline constexpr uint32_t kBlockFormatVersion = 1;
+// On-disk block file format (little-endian):
+//
+//   [0..4)   magic "ISLB"
+//   [4..8)   format version (u32, currently 1)
+//   [8..16)  row count (u64)
+//   [16..)   row count f64 payload
+//   footer   CRC32 (u32) over the payload bytes
+//
+// The paper stores each block as a .txt file; we use a checksummed binary
+// format, the realistic equivalent for a production system.
+// BlockFileWriter writes this layout and FileBlock::Open reads it; no other
+// code knows it.
 
 /// Header size in bytes; the payload of row r starts at
 /// BlockPayloadByteOffset(r).
 inline constexpr uint64_t kBlockHeaderBytes = 16;
 
 /// Absolute byte offset of row `row` inside a block file. Deliberately
-/// computed in uint64_t: on ILP32 targets `long` is 32 bits and a
-/// `static_cast<long>` of this expression truncates past 2 GiB — seeks must
-/// go through off_t (fseeko), never long (fseek).
+/// computed in uint64_t, never in `long` or `size_t`: those are 32 bits on
+/// ILP32 targets, where a block file can still exceed 4 GiB.
 inline constexpr uint64_t BlockPayloadByteOffset(uint64_t row) {
   return kBlockHeaderBytes + row * sizeof(double);
 }
@@ -53,31 +50,66 @@ inline constexpr uint32_t Crc32Finalize(uint32_t state) {
   return state ^ 0xffffffffu;
 }
 
-/// Writes `values` as a block file at `path`, overwriting any existing file.
-Status WriteBlockFile(const std::string& path, std::span<const double> values);
+/// Writes one block file. Create writes the header for `rows` rows to
+/// `<path>.part`, Append adds rows in order, and Commit writes the CRC
+/// footer and renames `<path>.part` over `path`. The rename replaces the
+/// directory entry and never truncates the old file, so a FileBlock that
+/// mapped the previous contents keeps reading them. A writer destroyed
+/// before Commit, or one whose Append or Commit failed, removes its `.part`
+/// file. Nothing is fsynced: the replacement is atomic for readers, not
+/// durable across a power loss.
+class BlockFileWriter {
+ public:
+  /// Creates `<path>.part` and writes the header. Fails with IOError.
+  static Result<BlockFileWriter> Create(const std::string& path,
+                                        uint64_t rows);
 
-/// Open-time knobs for FileBlock. The mmap toggle exists for the perf
-/// harness (mmap vs stdio measured in the same run) and for fallback parity
-/// tests; production callers keep the default.
-struct FileBlockOptions {
-  /// Map the file read-only and serve all reads zero-copy from the mapping
-  /// (lock-free, concurrent). Falls back to the stdio chunk-cache path when
-  /// mapping fails or the platform has no mmap.
-  bool use_mmap = true;
+  BlockFileWriter(BlockFileWriter&&) = default;
+  BlockFileWriter& operator=(BlockFileWriter&&) = delete;
+  ~BlockFileWriter();
+
+  /// Appends rows after those already written. Fails with InvalidArgument
+  /// past the row count given to Create, and with IOError on a short write.
+  Status Append(std::span<const double> rows);
+
+  /// Finishes the file and moves it into place. Fails with InvalidArgument
+  /// when fewer rows than declared were appended.
+  Status Commit();
+
+ private:
+  struct CloseFile {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  BlockFileWriter(std::string path, uint64_t rows);
+
+  /// Closes and removes the `.part` file, then returns `status`.
+  Status Abandon(Status status);
+
+  std::string path_;
+  std::string part_path_;
+  std::unique_ptr<std::FILE, CloseFile> file_;  // null once committed/failed
+  uint64_t rows_;
+  uint64_t written_ = 0;
+  uint32_t crc_ = kCrc32Init;
 };
 
-/// A block backed by an on-disk file in the ISLB format. The payload CRC is
-/// verified on open. When mmap is available (the default on POSIX) every
-/// read is a zero-copy load from the mapping: ValueAt/GatherAt/ReadRange
-/// are lock-free and safe to call concurrently, and ContiguousView() exposes
-/// the whole payload as a span. Without mmap, reads go through a mutex-
-/// guarded chunk cache so repeated positional samples don't seek per value.
+/// Writes `values` as a block file at `path`, atomically replacing any
+/// existing file (see BlockFileWriter).
+Status WriteBlockFile(const std::string& path, std::span<const double> values);
+
+/// A block backed by an on-disk file in the ISLB format, mapped read-only
+/// for the block's lifetime. Open checks the header and the file length
+/// against the mapping before it reads any payload byte, then verifies the
+/// payload CRC over the mapped bytes. Every read is a load from the mapping:
+/// ValueAt/GatherAt/ReadRange take no lock and are safe to call
+/// concurrently, and ContiguousView() is the whole payload.
 class FileBlock : public Block {
  public:
-  /// Opens and validates `path`. Fails with IOError/Corruption.
+  /// Opens, maps and validates `path`. Fails with IOError when the file
+  /// cannot be opened or mapped, and with Corruption when it is not a
+  /// well-formed block file.
   static Result<std::shared_ptr<FileBlock>> Open(const std::string& path);
-  static Result<std::shared_ptr<FileBlock>> Open(const std::string& path,
-                                                 const FileBlockOptions& opts);
 
   ~FileBlock() override;
 
@@ -86,31 +118,16 @@ class FileBlock : public Block {
 
   uint64_t size() const override { return count_; }
   double ValueAt(uint64_t index) const override;
-  Status ReadRange(uint64_t start, uint64_t count,
-                   std::vector<double>* out) const override;
-  /// mmap path: direct indexing into the mapping, lock-free. stdio path:
-  /// visits the requested positions in sorted order, so the file is read in
-  /// one forward pass with at most one chunk load per 4096-row window —
-  /// random sample batches cost O(touched chunks) seeks, not O(samples).
-  Status GatherAt(std::span<const uint64_t> indices,
-                  double* out) const override;
-  /// The whole payload when mmap-backed; empty on the stdio fallback.
   std::span<const double> ContiguousView() const override {
-    return {payload_, payload_ == nullptr ? 0 : count_};
+    return {payload_, count_};
   }
   std::string DebugString() const override;
   /// Content-derived: hashes (path, row count, verified payload CRC), so
   /// re-opening the same shard — in any session — yields the same identity,
-  /// while rewriting the file in place changes it with the CRC.
+  /// while rewriting the file changes it with the CRC.
   uint64_t ContentFingerprint() const override;
 
-  /// Loads the whole payload into a MemoryBlock (for baseline full scans).
-  Result<std::shared_ptr<MemoryBlock>> LoadToMemory() const;
-
   const std::string& path() const { return path_; }
-
-  /// True when reads are served zero-copy from an mmap'd view.
-  bool mmapped() const { return payload_ != nullptr; }
 
  protected:
   /// The payload CRC was already verified on open, so the machine-portable
@@ -118,33 +135,16 @@ class FileBlock : public Block {
   uint64_t ComputeDataFingerprint() const override;
 
  private:
-  FileBlock(std::string path, std::FILE* file, uint64_t count,
-            uint32_t payload_crc);
-
-  /// Ensures the chunk containing `index` is cached. Caller holds mu_.
-  Status LoadChunkLocked(uint64_t index) const;
-
-  /// Tries to replace the stdio path with a read-only mapping; on success
-  /// closes the FILE* and sets payload_. Failure is not an error — the
-  /// stdio path simply stays in place.
-  void TryMap();
-
-  static constexpr uint64_t kChunkRows = 4096;
+  /// Takes ownership of the mapping [map_base, map_base + map_len).
+  FileBlock(std::string path, void* map_base, size_t map_len);
 
   std::string path_;
-  std::FILE* file_;
-  uint64_t count_;
-  uint32_t payload_crc_;  // verified on open; feeds ContentFingerprint()
-
-  // mmap state (payload_ == nullptr on the stdio fallback).
-  void* map_base_ = nullptr;
-  size_t map_len_ = 0;
+  void* map_base_;
+  size_t map_len_;
+  // Set by Open once the header and CRC are verified.
   const double* payload_ = nullptr;
-
-  mutable std::mutex mu_;
-  mutable std::vector<double> chunk_;      // cached rows
-  mutable uint64_t chunk_start_ = 0;       // first row in chunk_
-  mutable bool chunk_valid_ = false;
+  uint64_t count_ = 0;
+  uint32_t payload_crc_ = 0;  // feeds ContentFingerprint()
 };
 
 }  // namespace storage

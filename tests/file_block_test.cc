@@ -45,6 +45,7 @@ TEST_F(FileBlockTest, RoundTripSmall) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_DOUBLE_EQ((*block)->ValueAt(i), values[i]);
   }
+  EXPECT_EQ((*block)->ContiguousView().size(), values.size());
 }
 
 TEST_F(FileBlockTest, RoundTripLargeCrossesChunks) {
@@ -54,7 +55,7 @@ TEST_F(FileBlockTest, RoundTripLargeCrossesChunks) {
   ASSERT_TRUE(WriteBlockFile(Path("b.islb"), values).ok());
   auto block = FileBlock::Open(Path("b.islb"));
   ASSERT_TRUE(block.ok());
-  // Random access pattern forces chunk cache churn.
+  // Random access across the whole payload.
   Xoshiro256 access(2);
   for (int i = 0; i < 1000; ++i) {
     uint64_t idx = access.NextBounded(values.size());
@@ -137,14 +138,50 @@ TEST_F(FileBlockTest, TruncatedPayloadIsCorruption) {
   EXPECT_TRUE(block.status().IsCorruption());
 }
 
-TEST_F(FileBlockTest, LoadToMemoryCopiesEverything) {
-  std::vector<double> values = {5.0, 6.0, 7.0};
-  ASSERT_TRUE(WriteBlockFile(Path("mem.islb"), values).ok());
-  auto block = FileBlock::Open(Path("mem.islb"));
-  ASSERT_TRUE(block.ok());
-  auto mem = (*block)->LoadToMemory();
-  ASSERT_TRUE(mem.ok());
-  EXPECT_EQ((*mem)->values(), values);
+// The cases below pin the checks that run before Open reads any payload
+// byte: a wrong length check there is a SIGBUS, not an error.
+
+TEST_F(FileBlockTest, ZeroByteFileIsCorruption) {
+  std::ofstream(Path("zero.islb"), std::ios::binary).close();
+  auto block = FileBlock::Open(Path("zero.islb"));
+  EXPECT_TRUE(block.status().IsCorruption()) << block.status();
+}
+
+TEST_F(FileBlockTest, UnsupportedVersionIsCorruption) {
+  ASSERT_TRUE(WriteBlockFile(Path("v2.islb"), std::vector<double>{1.0}).ok());
+  std::fstream f(Path("v2.islb"),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  const uint32_t version = 2;
+  f.seekp(4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  f.close();
+  auto block = FileBlock::Open(Path("v2.islb"));
+  EXPECT_TRUE(block.status().IsCorruption()) << block.status();
+}
+
+TEST_F(FileBlockTest, MissingCrcFooterIsCorruption) {
+  std::vector<double> values(100, 3.0);
+  ASSERT_TRUE(WriteBlockFile(Path("nofooter.islb"), values).ok());
+  std::filesystem::resize_file(Path("nofooter.islb"), 16 + 100 * 8);
+  auto block = FileBlock::Open(Path("nofooter.islb"));
+  EXPECT_TRUE(block.status().IsCorruption()) << block.status();
+}
+
+TEST_F(FileBlockTest, RowCountOverflowIsCorruption) {
+  // 2^61 rows put the footer at byte 16 + 2^64, which wraps to 16 in u64
+  // arithmetic. The file holds exactly that: a header and the CRC of an
+  // empty payload (0), so only a check that cannot wrap refuses it.
+  const uint32_t version = 1;
+  const uint64_t rows = uint64_t{1} << 61;
+  const uint32_t crc = 0;
+  std::ofstream f(Path("huge.islb"), std::ios::binary);
+  f.write("ISLB", 4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  f.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  f.close();
+  auto block = FileBlock::Open(Path("huge.islb"));
+  EXPECT_TRUE(block.status().IsCorruption()) << block.status();
 }
 
 TEST_F(FileBlockTest, Crc32KnownVector) {
@@ -181,7 +218,7 @@ TEST_F(FileBlockTest, Crc32PinnedVectors) {
 
 TEST_F(FileBlockTest, Crc32IncrementalMatchesOneShot) {
   // Arbitrary split points, including mid-slice ones, must agree with the
-  // one-shot CRC: FileBlock::Open streams the payload in 64 KiB chunks.
+  // one-shot CRC: BlockFileWriter folds each Append into a running CRC.
   std::vector<unsigned char> data(3000);
   Xoshiro256 rng(5);
   for (auto& b : data) b = static_cast<unsigned char>(rng.NextBounded(256));
@@ -198,8 +235,8 @@ TEST_F(FileBlockTest, Crc32IncrementalMatchesOneShot) {
 TEST_F(FileBlockTest, PayloadOffsetArithmeticIs64Bit) {
   // Regression for the old static_cast<long> seek offsets: on ILP32
   // platforms `long` is 32 bits and rows past 2 GiB of payload truncated.
-  // The offset helper must stay exact in uint64_t and fit the off_t that
-  // fseeko consumes.
+  // The offset helper must stay exact in uint64_t, and off_t must be 64
+  // bits so fstat and mmap handle block files over 2 GiB.
   EXPECT_EQ(BlockPayloadByteOffset(0), 16u);
   EXPECT_EQ(BlockPayloadByteOffset(1), 24u);
   // Row 400M sits at 3.2 GB — past INT32_MAX, where a long cast on ILP32
@@ -213,65 +250,17 @@ TEST_F(FileBlockTest, PayloadOffsetArithmeticIs64Bit) {
   EXPECT_EQ(BlockPayloadByteOffset(1'000'000'000'000ULL),
             8'000'000'000'016ULL);
   static_assert(sizeof(off_t) == 8,
-                "fseeko must take 64-bit offsets on this platform");
-}
-
-TEST_F(FileBlockTest, MmapAndStdioPathsAreBitIdentical) {
-  std::vector<double> values;
-  Xoshiro256 rng(21);
-  for (int i = 0; i < 3 * 4096 + 5; ++i) {
-    values.push_back(rng.NextDouble() * 1000 - 500);
-  }
-  ASSERT_TRUE(WriteBlockFile(Path("par.islb"), values).ok());
-  auto mm = FileBlock::Open(Path("par.islb"), FileBlockOptions{true});
-  auto io = FileBlock::Open(Path("par.islb"), FileBlockOptions{false});
-  ASSERT_TRUE(mm.ok());
-  ASSERT_TRUE(io.ok());
-  EXPECT_FALSE((*io)->mmapped());
-  EXPECT_TRUE((*io)->ContiguousView().empty());
-  if (!(*mm)->mmapped()) GTEST_SKIP() << "mmap unavailable";
-  ASSERT_EQ((*mm)->ContiguousView().size(), values.size());
-
-  // ValueAt parity at chunk edges and interior points.
-  for (uint64_t idx : {uint64_t{0}, uint64_t{4095}, uint64_t{4096},
-                       uint64_t{8191}, uint64_t{12292}}) {
-    EXPECT_EQ((*mm)->ValueAt(idx), (*io)->ValueAt(idx)) << idx;
-    EXPECT_EQ((*mm)->ValueAt(idx), values[idx]) << idx;
-  }
-
-  // GatherAt parity on unsorted, duplicated random batches.
-  Xoshiro256 pick(22);
-  std::vector<uint64_t> indices;
-  for (int i = 0; i < 2000; ++i) indices.push_back(pick.NextBounded(values.size()));
-  indices.push_back(indices.front());  // guaranteed duplicate
-  std::vector<double> got_mm(indices.size());
-  std::vector<double> got_io(indices.size());
-  ASSERT_TRUE((*mm)->GatherAt(indices, got_mm.data()).ok());
-  ASSERT_TRUE((*io)->GatherAt(indices, got_io.data()).ok());
-  EXPECT_EQ(got_mm, got_io);
-
-  // ReadRange parity, including the empty tail read.
-  std::vector<double> r_mm;
-  std::vector<double> r_io;
-  ASSERT_TRUE((*mm)->ReadRange(4090, 100, &r_mm).ok());
-  ASSERT_TRUE((*io)->ReadRange(4090, 100, &r_io).ok());
-  EXPECT_EQ(r_mm, r_io);
-  ASSERT_TRUE((*mm)->ReadRange(values.size(), 0, &r_mm).ok());
-  EXPECT_TRUE(r_mm.empty());
-  EXPECT_TRUE((*mm)->ReadRange(0, values.size() + 1, &r_mm).IsOutOfRange());
-  const std::vector<uint64_t> oor = {values.size()};
-  EXPECT_TRUE((*mm)->GatherAt(oor, got_mm.data()).IsOutOfRange());
+                "fstat and mmap need a 64-bit off_t for files over 2 GiB");
 }
 
 TEST_F(FileBlockTest, MmapGatherIsSafeUnderConcurrency) {
-  // The mmap read path takes no lock; hammer it from several threads and
-  // verify every thread sees exactly the payload values.
+  // The read path takes no lock; hammer it from several threads and verify
+  // every thread sees exactly the payload values.
   std::vector<double> values;
   for (int i = 0; i < 20000; ++i) values.push_back(static_cast<double>(i));
   ASSERT_TRUE(WriteBlockFile(Path("mt.islb"), values).ok());
   auto block = FileBlock::Open(Path("mt.islb"));
   ASSERT_TRUE(block.ok());
-  if (!(*block)->mmapped()) GTEST_SKIP() << "mmap unavailable";
 
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -300,9 +289,9 @@ TEST_F(FileBlockTest, MmapGatherIsSafeUnderConcurrency) {
 }
 
 TEST_F(FileBlockTest, GatherAtSpansChunkBoundaries) {
-  // 3 chunks' worth of rows (chunk = 4096): indices deliberately hit the
-  // first/last row of each chunk plus interior points, unsorted and with a
-  // repeat, so the sorted single-pass read crosses every boundary.
+  // 3 × 4096 rows plus a tail: indices deliberately hit the first/last row
+  // of each 4096-row window plus interior points, unsorted and with a
+  // repeat.
   std::vector<double> values;
   for (int i = 0; i < 3 * 4096 + 17; ++i) values.push_back(i * 0.5);
   ASSERT_TRUE(WriteBlockFile(Path("g.islb"), values).ok());
@@ -368,8 +357,7 @@ TEST_F(FileBlockTest, ReadRangeEdgeCases) {
 }
 
 TEST_F(FileBlockTest, ValueAtStaysCorrectAfterGatherAt) {
-  // GatherAt shares the chunk cache with ValueAt; interleaving them must
-  // not serve stale chunks.
+  // Interleaving ValueAt with GatherAt must not change what either reads.
   std::vector<double> values;
   for (int i = 0; i < 9000; ++i) values.push_back(static_cast<double>(i));
   ASSERT_TRUE(WriteBlockFile(Path("m.islb"), values).ok());
@@ -382,6 +370,55 @@ TEST_F(FileBlockTest, ValueAtStaysCorrectAfterGatherAt) {
   ASSERT_TRUE((*block)->GatherAt(indices, out.data()).ok());
   EXPECT_DOUBLE_EQ(out[0], 8000.0);
   EXPECT_DOUBLE_EQ((*block)->ValueAt(4200), 4200.0);
+}
+
+TEST_F(FileBlockTest, RewritingAnOpenFileKeepsItsRows) {
+  // A rewrite replaces the file by rename and never truncates the inode an
+  // open block maps; truncating it would make these reads a SIGBUS.
+  const std::string path = Path("live.islb");
+  ASSERT_TRUE(WriteBlockFile(path, std::vector<double>(1'000'000, 7.0)).ok());
+  auto open = FileBlock::Open(path);
+  ASSERT_TRUE(open.ok()) << open.status();
+  const uint64_t fingerprint = (*open)->DataFingerprint();
+
+  ASSERT_TRUE(WriteBlockFile(path, std::vector<double>(10, 1.0)).ok());
+  EXPECT_EQ((*open)->ValueAt(5), 7.0);
+  EXPECT_EQ((*open)->ValueAt(900'000), 7.0);
+  EXPECT_EQ((*open)->DataFingerprint(), fingerprint);
+
+  auto fresh = FileBlock::Open(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ((*fresh)->size(), 10u);
+  for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ((*fresh)->ValueAt(i), 1.0);
+  EXPECT_FALSE(std::filesystem::exists(path + ".part"));
+}
+
+TEST_F(FileBlockTest, WriterRefusesAWrongRowCountAndLeavesNoFile) {
+  const std::string path = Path("w.islb");
+  const std::vector<double> two = {1.0, 2.0};
+  auto no_files = [&] {
+    return !std::filesystem::exists(path) &&
+           !std::filesystem::exists(path + ".part");
+  };
+  {
+    auto writer = BlockFileWriter::Create(path, 1);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    EXPECT_TRUE(writer->Append(two).IsInvalidArgument());
+    EXPECT_TRUE(no_files());
+  }
+  {
+    auto writer = BlockFileWriter::Create(path, 3);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(writer->Append(two).ok());
+    EXPECT_TRUE(writer->Commit().IsInvalidArgument());
+    EXPECT_TRUE(no_files());
+  }
+  {
+    auto writer = BlockFileWriter::Create(path, 2);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE(writer->Append(two).ok());
+  }  // Destroyed before Commit.
+  EXPECT_TRUE(no_files());
 }
 
 TEST_F(FileBlockTest, OverwriteReplacesContent) {

@@ -154,29 +154,6 @@ storage::BlockPtr Mem(std::vector<double> values) {
   return std::make_shared<storage::MemoryBlock>(std::move(values));
 }
 
-TEST(GatherRowsAt, ResolvesAllColumnsAtTheSamePositions) {
-  auto values = Mem({10, 11, 12, 13});
-  auto keys = Mem({0, 1, 0, 1});
-  const storage::Block* cols[] = {values.get(), nullptr, keys.get()};
-  std::vector<uint64_t> indices = {3, 0, 3};
-  std::vector<std::vector<double>> out;
-  ASSERT_TRUE(storage::GatherRowsAt(cols, indices, &out).ok());
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], (std::vector<double>{13, 10, 13}));
-  EXPECT_TRUE(out[1].empty());  // null column slot stays empty
-  EXPECT_EQ(out[2], (std::vector<double>{1, 0, 1}));
-}
-
-TEST(GatherRowsAt, RejectsMisalignedBlocks) {
-  auto a = Mem({1, 2, 3});
-  auto b = Mem({1, 2});
-  const storage::Block* cols[] = {a.get(), b.get()};
-  std::vector<uint64_t> indices = {0};
-  std::vector<std::vector<double>> out;
-  EXPECT_TRUE(storage::GatherRowsAt(cols, indices, &out)
-                  .IsFailedPrecondition());
-}
-
 /// Builds three row-aligned columns over `blocks` MemoryBlocks:
 ///   value[i] = base mean of its group + noise, key in {0..keys-1},
 ///   pred[i] = i-th value of a deterministic ramp used for filtering.

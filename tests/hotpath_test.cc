@@ -156,10 +156,6 @@ TEST(HotPathAlloc, MmapGatherIsAllocationFree) {
   ASSERT_TRUE(storage::WriteBlockFile(path, values).ok());
   auto block = storage::FileBlock::Open(path);
   ASSERT_TRUE(block.ok());
-  if (!(*block)->mmapped()) {
-    fs::remove_all(dir);
-    GTEST_SKIP() << "mmap unavailable on this platform";
-  }
 
   std::vector<uint64_t> indices(sampling::kGatherBatch);
   Xoshiro256 rng(3);
