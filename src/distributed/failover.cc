@@ -13,6 +13,14 @@
 namespace isla {
 namespace distributed {
 
+namespace {
+
+/// Floor of the auto-derived hedge delay, so a burst of microsecond-fast
+/// loopback calls cannot turn hedging into "always send twice".
+constexpr uint64_t kHedgeFloorMillis = 20;
+
+}  // namespace
+
 FailoverStats& GlobalFailoverStats() {
   // Leaked on purpose: transports and servers record into it from threads
   // that may outlive any static-destruction order.
@@ -84,15 +92,14 @@ Result<std::string> FailoverTransport::CallOnce(uint64_t shard_id,
 
 uint64_t FailoverTransport::HedgeDelayMillis() const {
   if (options_.hedge_delay_millis > 0) return options_.hedge_delay_millis;
-  // Auto mode: p99 of observed successful calls, floored so a burst of
-  // microsecond-fast loopback calls cannot turn hedging into "always send
-  // twice". Before enough samples exist the p99 of a handful of calls is
-  // meaningless, so stay at the floor.
+  // Auto mode: p99 of observed successful calls, floored at
+  // kHedgeFloorMillis. Before enough samples exist the p99 of a handful of
+  // calls is meaningless, so stay at the floor.
   uint64_t p99_millis =
       latency_.count() >= 32
           ? static_cast<uint64_t>(latency_.PercentileMicros(0.99)) / 1000
           : 0;
-  return std::max(options_.hedge_floor_millis, p99_millis);
+  return std::max(kHedgeFloorMillis, p99_millis);
 }
 
 Result<std::string> FailoverTransport::HedgedCall(uint64_t shard_id,

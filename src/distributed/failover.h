@@ -57,10 +57,9 @@ struct FailoverOptions {
   /// it after this delay and take whichever answer lands first. The race
   /// is benign — replicas derive identical RNG streams from the shard id,
   /// so both answers are bit-identical. 0 means derive the delay from the
-  /// observed p99 call latency (never below hedge_floor_millis).
+  /// observed p99 call latency (never below 20 ms).
   bool enable_hedging = true;
   uint64_t hedge_delay_millis = 0;
-  uint64_t hedge_floor_millis = 20;
 
   /// Seed of the deterministic backoff jitter.
   uint64_t seed = 0x15a0f417ULL;

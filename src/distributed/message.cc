@@ -2,661 +2,499 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <map>
+#include <type_traits>
+#include <utility>
 
 #include "storage/file_block.h"
+#include "util/wire.h"
 
 namespace isla {
 namespace distributed {
 
 namespace {
 
-/// Append-only little-endian writer.
-class Writer {
+/// The highest tag; PeekType refuses anything past it.
+constexpr MessageType kLastMessageType = MessageType::kShardBlockChunk;
+
+/// Caps on a sketch blob's shape, checked before the blob sizes anything
+/// (FromParts then re-validates every part).
+constexpr uint64_t kMaxSketchLevels = 64;
+constexpr uint64_t kMaxSketchCapacity = 65536;
+
+// ---------------------------------------------------------------------------
+// Visitors. A frame is its u32 tag followed by the fields its Layout lists:
+// u64 for integers, flags and enums, f64 for doubles, a u64 length before
+// text, a u64 count before a double vector or a key-ordered map.
+// ---------------------------------------------------------------------------
+
+/// Walks a Layout and appends each field.
+class Encoder {
  public:
-  explicit Writer(MessageType type) { PutU32(static_cast<uint32_t>(type)); }
+  static constexpr bool kEncoding = true;
 
-  void PutU32(uint32_t v) { Append(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { Append(&v, sizeof(v)); }
-  void PutF64(double v) { Append(&v, sizeof(v)); }
-
-  std::string Take() { return std::move(buffer_); }
-
- private:
-  void Append(const void* data, size_t len) {
-    buffer_.append(static_cast<const char*>(data), len);
-  }
-  std::string buffer_;
-};
-
-/// Bounds-checked little-endian reader.
-class Reader {
- public:
-  explicit Reader(const std::string& frame) : frame_(frame) {}
-
-  Status ExpectType(MessageType want) {
-    uint32_t tag = 0;
-    ISLA_RETURN_NOT_OK(Get(&tag, sizeof(tag)));
-    if (tag != static_cast<uint32_t>(want)) {
-      return Status::Corruption("unexpected message type tag");
-    }
-    return Status::OK();
+  // 256 bytes hold every fixed-width frame (QueryPlan, the largest, is 228).
+  explicit Encoder(MessageType type) : w_(256) {
+    w_.U32(static_cast<uint32_t>(type));
   }
 
-  Status GetU64(uint64_t* v) { return Get(v, sizeof(*v)); }
-  Status GetF64(double* v) { return Get(v, sizeof(*v)); }
-
-  Status Finish() const {
-    if (offset_ != frame_.size()) {
-      return Status::Corruption("trailing bytes in message frame");
-    }
-    return Status::OK();
+  template <class... Fields>
+  void operator()(const Fields&... fields) {
+    (Field(fields), ...);
   }
 
- private:
-  Status Get(void* out, size_t len) {
-    if (offset_ + len > frame_.size()) {
-      return Status::Corruption("truncated message frame");
-    }
-    std::memcpy(out, frame_.data() + offset_, len);
-    offset_ += len;
-    return Status::OK();
+  /// Text cut at `cap`: the decoder refuses anything longer, so a worker
+  /// failing with a long Status must have its message truncated here rather
+  /// than replaced by a decode Corruption at the peer.
+  void Text(const std::string& s, uint64_t cap) {
+    const uint64_t len = std::min<uint64_t>(s.size(), cap);
+    w_.U64(len);
+    w_.Bytes(s.data(), len);
   }
 
-  const std::string& frame_;
-  size_t offset_ = 0;
-};
-
-void PutOptions(Writer* w, const core::IslaOptions& o) {
-  w->PutF64(o.precision);
-  w->PutF64(o.confidence);
-  w->PutF64(o.sketch_relaxation);
-  w->PutF64(o.p1);
-  w->PutF64(o.p2);
-  w->PutF64(o.step_length_factor);
-  w->PutF64(o.convergence_rate);
-  w->PutF64(o.threshold);
-  w->PutF64(o.threshold_fraction);
-  w->PutF64(o.dev_balanced_lo);
-  w->PutF64(o.dev_balanced_hi);
-  w->PutF64(o.dev_mild_lo);
-  w->PutF64(o.dev_mild_hi);
-  w->PutF64(o.dev_severe_lo);
-  w->PutF64(o.dev_severe_hi);
-  w->PutF64(o.q_prime_mild);
-  w->PutF64(o.q_prime_severe);
-  w->PutU64(o.clamp_to_sketch_interval ? 1 : 0);
-  w->PutU64(o.sigma_pilot_size);
-  w->PutU64(o.seed);
-  w->PutF64(o.sampling_rate_scale);
-  w->PutU64(o.parallelism);
-}
-
-Status GetOptions(Reader* r, core::IslaOptions* o) {
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->precision));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->confidence));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->sketch_relaxation));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->p1));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->p2));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->step_length_factor));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->convergence_rate));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->threshold));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->threshold_fraction));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_balanced_lo));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_balanced_hi));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_mild_lo));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_mild_hi));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_severe_lo));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->dev_severe_hi));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->q_prime_mild));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->q_prime_severe));
-  uint64_t clamp = 0;
-  ISLA_RETURN_NOT_OK(r->GetU64(&clamp));
-  o->clamp_to_sketch_interval = clamp != 0;
-  ISLA_RETURN_NOT_OK(r->GetU64(&o->sigma_pilot_size));
-  ISLA_RETURN_NOT_OK(r->GetU64(&o->seed));
-  ISLA_RETURN_NOT_OK(r->GetF64(&o->sampling_rate_scale));
-  uint64_t parallelism = 0;
-  ISLA_RETURN_NOT_OK(r->GetU64(&parallelism));
-  o->parallelism = static_cast<uint32_t>(parallelism);
-  return Status::OK();
-}
-
-/// Shared body of kGroupedScanRequest and kSketchScanRequest — the two
-/// frames differ only by tag.
-void PutGroupedScanFields(Writer* w, const GroupedScanRequest& m) {
-  w->PutU64(m.query_id);
-  w->PutU64(m.sample_count);
-  w->PutU64(m.stream_seed);
-  w->PutU64(m.has_predicate);
-  w->PutU64(static_cast<uint64_t>(m.op));
-  w->PutF64(m.literal);
-  w->PutU64(m.has_group);
-}
-
-Status GetGroupedScanFields(Reader* r, GroupedScanRequest* m) {
-  ISLA_RETURN_NOT_OK(r->GetU64(&m->query_id));
-  ISLA_RETURN_NOT_OK(r->GetU64(&m->sample_count));
-  ISLA_RETURN_NOT_OK(r->GetU64(&m->stream_seed));
-  ISLA_RETURN_NOT_OK(r->GetU64(&m->has_predicate));
-  uint64_t op = 0;
-  ISLA_RETURN_NOT_OK(r->GetU64(&op));
-  if (op > static_cast<uint64_t>(core::PredicateOp::kGe)) {
-    return Status::Corruption("predicate operator out of range");
+  void Doubles(const std::vector<double>& v, uint64_t /*cap*/) {
+    w_.U64(v.size());
+    w_.Bytes(v.data(), v.size() * sizeof(double));
   }
-  m->op = static_cast<core::PredicateOp>(op);
-  ISLA_RETURN_NOT_OK(r->GetF64(&m->literal));
-  ISLA_RETURN_NOT_OK(r->GetU64(&m->has_group));
-  return Status::OK();
-}
 
-/// Shared moments section of kGroupedScanResponse and kSketchScanResponse.
-void PutGroupedPartialFields(Writer* w, const core::GroupedBlockPartial& p) {
-  w->PutU64(p.block_rows);
-  w->PutU64(p.scanned);
-  w->PutU64(p.all.n);
-  w->PutF64(p.all.mean);
-  w->PutF64(p.all.m2);
-  w->PutU64(p.groups.size());
-  for (const auto& [key, moments] : p.groups) {
-    w->PutF64(key);
-    w->PutU64(moments.n);
-    w->PutF64(moments.mean);
-    w->PutF64(moments.m2);
-  }
-}
-
-Status GetGroupedPartialFields(Reader* r, core::GroupedBlockPartial* p) {
-  ISLA_RETURN_NOT_OK(r->GetU64(&p->block_rows));
-  ISLA_RETURN_NOT_OK(r->GetU64(&p->scanned));
-  ISLA_RETURN_NOT_OK(r->GetU64(&p->all.n));
-  ISLA_RETURN_NOT_OK(r->GetF64(&p->all.mean));
-  ISLA_RETURN_NOT_OK(r->GetF64(&p->all.m2));
-  uint64_t num_groups = 0;
-  ISLA_RETURN_NOT_OK(r->GetU64(&num_groups));
-  if (num_groups > core::kMaxGroups) {
-    return Status::Corruption("grouped response exceeds the group cap");
-  }
-  for (uint64_t g = 0; g < num_groups; ++g) {
-    double key = 0.0;
-    core::GroupMoments moments;
-    ISLA_RETURN_NOT_OK(r->GetF64(&key));
-    ISLA_RETURN_NOT_OK(r->GetU64(&moments.n));
-    ISLA_RETURN_NOT_OK(r->GetF64(&moments.mean));
-    ISLA_RETURN_NOT_OK(r->GetF64(&moments.m2));
-    if (std::isnan(key) || !p->groups.emplace(key, moments).second) {
-      return Status::Corruption("grouped response has invalid group keys");
+  /// Entries in ascending key order: the f64 key, then `value`'s fields.
+  template <class V, class F>
+  void Map(const std::map<double, V>& map, uint64_t /*cap*/, F&& value) {
+    w_.U64(map.size());
+    for (const auto& [key, v] : map) {
+      w_.F64(key);
+      value(v);
     }
   }
-  return Status::OK();
-}
 
-}  // namespace
-
-std::string Encode(const PilotRequest& m) {
-  Writer w(MessageType::kPilotRequest);
-  w.PutU64(m.query_id);
-  w.PutU64(m.sample_count);
-  w.PutU64(m.seed);
-  return w.Take();
-}
-
-std::string Encode(const PilotResponse& m) {
-  Writer w(MessageType::kPilotResponse);
-  w.PutU64(m.query_id);
-  w.PutU64(m.worker_id);
-  w.PutU64(m.block_rows);
-  w.PutU64(m.count);
-  w.PutF64(m.mean);
-  w.PutF64(m.m2);
-  w.PutF64(m.min_value);
-  return w.Take();
-}
-
-std::string Encode(const QueryPlan& m) {
-  Writer w(MessageType::kQueryPlan);
-  w.PutU64(m.query_id);
-  w.PutU64(m.sample_count);
-  w.PutU64(m.seed);
-  w.PutF64(m.sketch0);
-  w.PutF64(m.sigma);
-  w.PutF64(m.shift);
-  PutOptions(&w, m.options);
-  return w.Take();
-}
-
-std::string Encode(const PartialResult& m) {
-  Writer w(MessageType::kPartialResult);
-  w.PutU64(m.query_id);
-  w.PutU64(m.worker_id);
-  w.PutU64(m.block_rows);
-  w.PutU64(m.samples_drawn);
-  w.PutF64(m.avg);
-  w.PutU64(m.s_count);
-  w.PutU64(m.l_count);
-  w.PutU64(m.iterations);
-  w.PutF64(m.alpha);
-  w.PutF64(m.s_sum);
-  w.PutF64(m.s_sum2);
-  w.PutF64(m.s_sum3);
-  w.PutF64(m.l_sum);
-  w.PutF64(m.l_sum2);
-  w.PutF64(m.l_sum3);
-  return w.Take();
-}
-
-std::string Encode(const GroupedScanRequest& m) {
-  Writer w(MessageType::kGroupedScanRequest);
-  PutGroupedScanFields(&w, m);
-  return w.Take();
-}
-
-std::string Encode(const GroupedScanResponse& m) {
-  Writer w(MessageType::kGroupedScanResponse);
-  w.PutU64(m.query_id);
-  w.PutU64(m.worker_id);
-  PutGroupedPartialFields(&w, m.partial);
-  return w.Take();
-}
-
-std::string Encode(const SketchScanRequest& m) {
-  Writer w(MessageType::kSketchScanRequest);
-  PutGroupedScanFields(&w, m.scan);
-  return w.Take();
-}
-
-std::string Encode(const SketchScanResponse& m) {
-  Writer w(MessageType::kSketchScanResponse);
-  w.PutU64(m.query_id);
-  w.PutU64(m.worker_id);
-  PutGroupedPartialFields(&w, m.partial);
-  w.PutU64(m.partial.sketches.size());
-  for (const auto& [key, s] : m.partial.sketches) {
-    w.PutF64(key);
-    w.PutU64(s.capacity());
-    w.PutU64(s.count());
-    w.PutF64(s.min());
-    w.PutF64(s.max());
-    w.PutU64(s.error_weight());
-    w.PutU64(s.num_levels());
+  /// The complete compactor state (levels, per-level parities, error
+  /// weight), so a decoded sketch merges bit-identically to the original.
+  void Sketch(const stats::QuantileSketch& s) {
+    w_.U64(s.capacity());
+    w_.U64(s.count());
+    w_.F64(s.min());
+    w_.F64(s.max());
+    w_.U64(s.error_weight());
+    w_.U64(s.num_levels());
     for (size_t l = 0; l < s.num_levels(); ++l) {
-      w.PutU64(s.level_parity(l));
-      w.PutU64(s.level(l).size());
-      for (double v : s.level(l)) w.PutF64(v);
+      w_.U64(s.level_parity(l));
+      Doubles(s.level(l), kMaxSketchCapacity);
     }
   }
-  return w.Take();
-}
 
-std::string Encode(const ErrorFrame& m) {
-  // Decoders refuse messages past the cap, so the encoder must truncate —
-  // a worker failing with a long Status must not have its real error
-  // replaced by a frame-decode Corruption at the coordinator.
-  size_t len = std::min<size_t>(m.message.size(), kMaxErrorMessageBytes);
-  Writer w(MessageType::kError);
-  w.PutU64(m.code);
-  w.PutU64(len);
-  std::string out = w.Take();
-  out.append(m.message, 0, len);
-  return out;
-}
+  std::string Take() { return w_.Take(); }
 
-std::string Encode(const RegisterFrame& m) {
-  // Same truncate-at-encode contract as ErrorFrame: a worker with an
-  // oversized advertised host must still register, not die to a decode
-  // Corruption at the registry.
-  size_t len = std::min<size_t>(m.host.size(), kMaxHostBytes);
-  Writer w(MessageType::kRegister);
-  w.PutU64(m.shard_id);
-  w.PutU64(m.port);
-  w.PutU64(m.block_rows);
-  w.PutU64(m.fingerprint);
-  w.PutU64(len);
-  std::string out = w.Take();
-  out.append(m.host, 0, len);
-  return out;
-}
-
-std::string Encode(const RegisterAck& m) {
-  Writer w(MessageType::kRegisterAck);
-  w.PutU64(m.shard_id);
-  w.PutU64(m.accepted);
-  w.PutU64(m.reason);
-  w.PutU64(m.known_shards);
-  w.PutU64(m.epoch);
-  return w.Take();
-}
-
-std::string Encode(const ShardFetchRequest& m) {
-  Writer w(MessageType::kShardFetchRequest);
-  w.PutU64(m.shard_id);
-  w.PutU64(m.column);
-  w.PutU64(m.start_row);
-  w.PutU64(m.max_rows);
-  return w.Take();
-}
-
-std::string Encode(const ShardBlockChunk& m) {
-  Writer w(MessageType::kShardBlockChunk);
-  w.PutU64(m.shard_id);
-  w.PutU64(m.column);
-  w.PutU64(m.column_present);
-  w.PutU64(m.total_rows);
-  w.PutU64(m.start_row);
-  w.PutU64(m.crc);
-  w.PutU64(m.rows.size());
-  for (double v : m.rows) w.PutF64(v);
-  return w.Take();
-}
-
-Result<MessageType> PeekType(const std::string& frame) {
-  if (frame.size() < sizeof(uint32_t)) {
-    return Status::Corruption("frame shorter than a type tag");
+ private:
+  void Field(uint64_t v) { w_.U64(v); }
+  void Field(uint32_t v) { w_.U64(v); }
+  void Field(bool v) { w_.U64(v ? 1 : 0); }
+  void Field(double v) { w_.F64(v); }
+  void Field(core::PredicateOp op) { w_.U64(static_cast<uint64_t>(op)); }
+  template <class T>
+    requires std::is_class_v<T>
+  void Field(const T& nested) {
+    Layout(*this, nested);
   }
-  uint32_t tag = 0;
-  std::memcpy(&tag, frame.data(), sizeof(tag));
-  if (tag < 1 || tag > 13) {
-    return Status::Corruption("unknown message type tag");
-  }
-  return static_cast<MessageType>(tag);
-}
 
-Result<PilotRequest> DecodePilotRequest(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kPilotRequest));
-  PilotRequest m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.sample_count));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.seed));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
+  wire::Writer w_;
+};
 
-Result<PilotResponse> DecodePilotResponse(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kPilotResponse));
-  PilotResponse m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.worker_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.block_rows));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.count));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.mean));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.m2));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.min_value));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
+/// Reads a Layout back. Every count is checked against its cap before it
+/// sizes an allocation; a failure sticks in the reader, so later fields
+/// read as zeros and Finish() reports the first failure.
+class Decoder {
+ public:
+  static constexpr bool kEncoding = false;
 
-Result<QueryPlan> DecodeQueryPlan(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kQueryPlan));
-  QueryPlan m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.sample_count));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.seed));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.sketch0));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.sigma));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.shift));
-  ISLA_RETURN_NOT_OK(GetOptions(&r, &m.options));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
-
-Result<PartialResult> DecodePartialResult(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kPartialResult));
-  PartialResult m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.worker_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.block_rows));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.samples_drawn));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.avg));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.s_count));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.l_count));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.iterations));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.alpha));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.s_sum));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.s_sum2));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.s_sum3));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.l_sum));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.l_sum2));
-  ISLA_RETURN_NOT_OK(r.GetF64(&m.l_sum3));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
-
-Result<GroupedScanRequest> DecodeGroupedScanRequest(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kGroupedScanRequest));
-  GroupedScanRequest m;
-  ISLA_RETURN_NOT_OK(GetGroupedScanFields(&r, &m));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
-
-Result<GroupedScanResponse> DecodeGroupedScanResponse(
-    const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kGroupedScanResponse));
-  GroupedScanResponse m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.worker_id));
-  ISLA_RETURN_NOT_OK(GetGroupedPartialFields(&r, &m.partial));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
-
-Result<SketchScanRequest> DecodeSketchScanRequest(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kSketchScanRequest));
-  SketchScanRequest m;
-  ISLA_RETURN_NOT_OK(GetGroupedScanFields(&r, &m.scan));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
-}
-
-Result<SketchScanResponse> DecodeSketchScanResponse(
-    const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kSketchScanResponse));
-  SketchScanResponse m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.query_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.worker_id));
-  ISLA_RETURN_NOT_OK(GetGroupedPartialFields(&r, &m.partial));
-  uint64_t num_sketches = 0;
-  ISLA_RETURN_NOT_OK(r.GetU64(&num_sketches));
-  if (num_sketches > core::kMaxGroups) {
-    return Status::Corruption("sketch response exceeds the group cap");
-  }
-  for (uint64_t i = 0; i < num_sketches; ++i) {
-    double key = 0.0;
-    uint64_t capacity = 0, count = 0, error_weight = 0, num_levels = 0;
-    double min_v = 0.0, max_v = 0.0;
-    ISLA_RETURN_NOT_OK(r.GetF64(&key));
-    ISLA_RETURN_NOT_OK(r.GetU64(&capacity));
-    ISLA_RETURN_NOT_OK(r.GetU64(&count));
-    ISLA_RETURN_NOT_OK(r.GetF64(&min_v));
-    ISLA_RETURN_NOT_OK(r.GetF64(&max_v));
-    ISLA_RETURN_NOT_OK(r.GetU64(&error_weight));
-    ISLA_RETURN_NOT_OK(r.GetU64(&num_levels));
-    // FromParts re-validates everything below, but the caps here keep a
-    // garbage length field from driving huge loops/allocations first.
-    if (num_levels > 64) {
-      return Status::Corruption("sketch blob has too many levels");
+  Decoder(const std::string& frame, MessageType type) : r_(frame) {
+    if (r_.U32() != static_cast<uint32_t>(type)) {
+      r_.Fail("unexpected message type tag");
     }
-    std::vector<std::vector<double>> levels;
-    std::vector<uint8_t> parities;
-    for (uint64_t l = 0; l < num_levels; ++l) {
-      uint64_t parity = 0, size = 0;
-      ISLA_RETURN_NOT_OK(r.GetU64(&parity));
-      if (parity > 1) {
-        return Status::Corruption("sketch blob has a non-boolean parity");
+  }
+
+  template <class... Fields>
+  void operator()(Fields&... fields) {
+    (Field(fields), ...);
+  }
+
+  void Text(std::string& s, uint64_t cap) {
+    s.resize(Count(cap, "text exceeds its length cap"));
+    r_.Bytes(s.data(), s.size());
+  }
+
+  void Doubles(std::vector<double>& v, uint64_t cap) {
+    v.resize(Count(cap, "vector exceeds its length cap"));
+    r_.Bytes(v.data(), v.size() * sizeof(double));
+  }
+
+  /// Keys must be distinct and not NaN.
+  template <class V, class F>
+  void Map(std::map<double, V>& map, uint64_t cap, F&& value) {
+    const uint64_t n = Count(cap, "group map exceeds the group cap");
+    for (uint64_t i = 0; i < n && r_.ok(); ++i) {
+      const double key = r_.F64();
+      V v;
+      value(v);
+      if (std::isnan(key) || !map.emplace(key, std::move(v)).second) {
+        r_.Fail("group map has a NaN or repeated key");
       }
-      ISLA_RETURN_NOT_OK(r.GetU64(&size));
-      if (size >= capacity || capacity > 65536) {
-        return Status::Corruption("sketch blob level exceeds its capacity");
-      }
-      std::vector<double> level(size);
-      for (uint64_t j = 0; j < size; ++j) {
-        ISLA_RETURN_NOT_OK(r.GetF64(&level[j]));
-      }
-      levels.push_back(std::move(level));
-      parities.push_back(static_cast<uint8_t>(parity));
     }
+  }
+
+  void Sketch(stats::QuantileSketch& s) {
+    const uint64_t capacity = r_.U64();
+    const uint64_t count = r_.U64();
+    const double min_v = r_.F64();
+    const double max_v = r_.F64();
+    const uint64_t error_weight = r_.U64();
+    if (capacity > kMaxSketchCapacity) {
+      r_.Fail("sketch blob exceeds the capacity cap");
+    }
+    std::vector<std::vector<double>> levels(
+        Count(kMaxSketchLevels, "sketch blob has too many levels"));
+    std::vector<uint8_t> parities(levels.size());
+    for (size_t l = 0; l < levels.size(); ++l) {
+      const uint64_t parity = r_.U64();
+      if (parity > 1) r_.Fail("sketch blob has a non-boolean parity");
+      parities[l] = static_cast<uint8_t>(parity);
+      // A level holds fewer values than the capacity.
+      Doubles(levels[l], std::max<uint64_t>(capacity, 1) - 1);
+    }
+    if (!r_.ok()) return;
     Result<stats::QuantileSketch> sketch = stats::QuantileSketch::FromParts(
         capacity, count, min_v, max_v, error_weight, std::move(levels),
         std::move(parities));
     if (!sketch.ok()) {
-      return Status::Corruption("sketch blob failed validation: " +
-                                sketch.status().message());
+      r_.Fail("sketch blob failed validation: " + sketch.status().message());
+      return;
     }
-    if (std::isnan(key) ||
-        !m.partial.sketches.emplace(key, std::move(sketch).value()).second) {
-      return Status::Corruption("sketch response has invalid group keys");
-    }
+    s = std::move(sketch).value();
   }
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
+
+  Status Finish() const { return r_.Finish(); }
+
+ private:
+  uint64_t Count(uint64_t cap, const char* what) {
+    const uint64_t n = r_.U64();
+    if (n <= cap) return n;
+    r_.Fail(what);
+    return 0;
+  }
+
+  void Field(uint64_t& v) { v = r_.U64(); }
+  void Field(uint32_t& v) { v = static_cast<uint32_t>(r_.U64()); }
+  void Field(bool& v) { v = r_.U64() != 0; }
+  void Field(double& v) { v = r_.F64(); }
+  void Field(core::PredicateOp& op) {
+    const uint64_t v = r_.U64();
+    if (v > static_cast<uint64_t>(core::PredicateOp::kGe)) {
+      r_.Fail("predicate operator out of range");
+      return;
+    }
+    op = static_cast<core::PredicateOp>(v);
+  }
+  template <class T>
+    requires std::is_class_v<T>
+  void Field(T& nested) {
+    Layout(*this, nested);
+  }
+
+  wire::Reader r_;
+};
+
+// ---------------------------------------------------------------------------
+// Layouts: each frame's fields in wire order, after the tag. Encode and
+// decode both walk these, so every layout is written once.
+// ---------------------------------------------------------------------------
+
+/// `const T` to encode, `T` to decode.
+template <class Io, class T>
+using Of = std::conditional_t<Io::kEncoding, const T, T>;
+
+template <class Io>
+void Layout(Io& io, Of<Io, core::IslaOptions>& o) {
+  io(o.precision, o.confidence, o.sketch_relaxation, o.p1, o.p2,
+     o.step_length_factor, o.convergence_rate, o.threshold,
+     o.threshold_fraction, o.dev_balanced_lo, o.dev_balanced_hi,
+     o.dev_mild_lo, o.dev_mild_hi, o.dev_severe_lo, o.dev_severe_hi,
+     o.q_prime_mild, o.q_prime_severe, o.clamp_to_sketch_interval,
+     o.sigma_pilot_size, o.seed, o.sampling_rate_scale, o.parallelism);
 }
 
-Result<ErrorFrame> DecodeErrorFrame(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kError));
-  ErrorFrame m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.code));
-  if (m.code == 0 || m.code > static_cast<uint64_t>(
-                                  StatusCode::kResourceExhausted)) {
+/// The moments section shared by the grouped and sketch scan responses.
+template <class Io>
+void Layout(Io& io, Of<Io, core::GroupedBlockPartial>& p) {
+  const auto moments = [&io](auto& g) { io(g.n, g.mean, g.m2); };
+  io(p.block_rows, p.scanned);
+  moments(p.all);
+  io.Map(p.groups, core::kMaxGroups, moments);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, PilotRequest>& m) {
+  io(m.query_id, m.sample_count, m.seed);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, PilotResponse>& m) {
+  io(m.query_id, m.worker_id, m.block_rows, m.count, m.mean, m.m2,
+     m.min_value);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, QueryPlan>& m) {
+  io(m.query_id, m.sample_count, m.seed, m.sketch0, m.sigma, m.shift,
+     m.options);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, PartialResult>& m) {
+  io(m.query_id, m.worker_id, m.block_rows, m.samples_drawn, m.avg,
+     m.s_count, m.l_count, m.iterations, m.alpha, m.s_sum, m.s_sum2,
+     m.s_sum3, m.l_sum, m.l_sum2, m.l_sum3);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, GroupedScanRequest>& m) {
+  io(m.query_id, m.sample_count, m.stream_seed, m.has_predicate, m.op,
+     m.literal, m.has_group);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, GroupedScanResponse>& m) {
+  io(m.query_id, m.worker_id, m.partial);
+}
+
+/// GroupedScanRequest's fields; the frames differ only by tag.
+template <class Io>
+void Layout(Io& io, Of<Io, SketchScanRequest>& m) {
+  io(m.scan);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, SketchScanResponse>& m) {
+  io(m.query_id, m.worker_id, m.partial);
+  io.Map(m.partial.sketches, core::kMaxGroups,
+         [&io](auto& sketch) { io.Sketch(sketch); });
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, ErrorFrame>& m) {
+  io(m.code);
+  io.Text(m.message, kMaxErrorMessageBytes);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, RegisterFrame>& m) {
+  io(m.shard_id, m.port, m.block_rows, m.fingerprint);
+  io.Text(m.host, kMaxHostBytes);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, RegisterAck>& m) {
+  io(m.shard_id, m.accepted, m.reason, m.known_shards, m.epoch);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, ShardFetchRequest>& m) {
+  io(m.shard_id, m.column, m.start_row, m.max_rows);
+}
+
+template <class Io>
+void Layout(Io& io, Of<Io, ShardBlockChunk>& m) {
+  io(m.shard_id, m.column, m.column_present, m.total_rows, m.start_row,
+     m.crc);
+  io.Doubles(m.rows, kMaxShardChunkRows);
+}
+
+// ---------------------------------------------------------------------------
+// Checks: the value rules a decoded frame must meet beyond its layout.
+// ---------------------------------------------------------------------------
+
+template <class M>
+Status Check(const M&) {
+  return Status::OK();
+}
+
+Status Check(const ErrorFrame& m) {
+  if (m.code == 0 ||
+      m.code > static_cast<uint64_t>(StatusCode::kResourceExhausted)) {
     return Status::Corruption("error frame carries an invalid status code");
   }
-  uint64_t message_len = 0;
-  ISLA_RETURN_NOT_OK(r.GetU64(&message_len));
-  if (message_len > kMaxErrorMessageBytes) {
-    return Status::Corruption("error frame message exceeds the length cap");
-  }
-  // The message is the trailing variable-length region; check the exact
-  // frame length the fixed-width decoders enforce via Finish().
-  size_t fixed = sizeof(uint32_t) + 2 * sizeof(uint64_t);
-  if (frame.size() != fixed + message_len) {
-    return Status::Corruption("error frame length mismatch");
-  }
-  m.message = frame.substr(fixed);
-  return m;
+  return Status::OK();
 }
 
-Result<RegisterFrame> DecodeRegisterFrame(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kRegister));
-  RegisterFrame m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.shard_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.port));
+Status Check(const RegisterFrame& m) {
   if (m.port == 0 || m.port > 65535) {
     return Status::Corruption("register frame carries an invalid port");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.block_rows));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.fingerprint));
-  uint64_t host_len = 0;
-  ISLA_RETURN_NOT_OK(r.GetU64(&host_len));
-  if (host_len > kMaxHostBytes) {
-    return Status::Corruption("register frame host exceeds the length cap");
-  }
-  size_t fixed = sizeof(uint32_t) + 5 * sizeof(uint64_t);
-  if (frame.size() != fixed + host_len) {
-    return Status::Corruption("register frame length mismatch");
-  }
-  m.host = frame.substr(fixed);
   if (m.host.empty()) {
     return Status::Corruption("register frame carries an empty host");
   }
-  return m;
+  return Status::OK();
 }
 
-Result<RegisterAck> DecodeRegisterAck(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kRegisterAck));
-  RegisterAck m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.shard_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.accepted));
+Status Check(const RegisterAck& m) {
   if (m.accepted > 1) {
     return Status::Corruption("register ack carries a non-boolean flag");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.reason));
   if (m.reason > static_cast<uint64_t>(RegisterRefusal::kRowsMismatch)) {
     return Status::Corruption("register ack carries an unknown refusal");
   }
   if (m.accepted == 1 && m.reason != 0) {
     return Status::Corruption("register ack both accepts and refuses");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.known_shards));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.epoch));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
+  return Status::OK();
 }
 
-Result<ShardFetchRequest> DecodeShardFetchRequest(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kShardFetchRequest));
-  ShardFetchRequest m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.shard_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.column));
+Status Check(const ShardFetchRequest& m) {
   if (m.column > kShardColumnKeys) {
     return Status::Corruption("shard fetch addresses an unknown column");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.start_row));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.max_rows));
-  ISLA_RETURN_NOT_OK(r.Finish());
-  return m;
+  return Status::OK();
 }
 
-Result<ShardBlockChunk> DecodeShardBlockChunk(const std::string& frame) {
-  Reader r(frame);
-  ISLA_RETURN_NOT_OK(r.ExpectType(MessageType::kShardBlockChunk));
-  ShardBlockChunk m;
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.shard_id));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.column));
+Status Check(const ShardBlockChunk& m) {
   if (m.column > kShardColumnKeys) {
     return Status::Corruption("shard chunk addresses an unknown column");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.column_present));
   if (m.column_present > 1) {
     return Status::Corruption("shard chunk carries a non-boolean presence");
   }
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.total_rows));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.start_row));
-  ISLA_RETURN_NOT_OK(r.GetU64(&m.crc));
   if (m.crc > 0xffffffffULL) {
     return Status::Corruption("shard chunk CRC exceeds 32 bits");
   }
-  uint64_t row_count = 0;
-  ISLA_RETURN_NOT_OK(r.GetU64(&row_count));
-  // Caps before the allocation: a garbage length field must not drive a
-  // huge resize, and the chunk must lie inside the block it claims.
-  if (row_count > kMaxShardChunkRows) {
-    return Status::Corruption("shard chunk exceeds the row cap");
-  }
-  if (m.start_row > m.total_rows || row_count > m.total_rows - m.start_row) {
+  const uint64_t rows = m.rows.size();
+  if (m.start_row > m.total_rows || rows > m.total_rows - m.start_row) {
     return Status::Corruption("shard chunk lies outside its block");
   }
-  if (m.column_present == 0 && (row_count != 0 || m.total_rows != 0)) {
+  if (m.column_present == 0 && (rows != 0 || m.total_rows != 0)) {
     return Status::Corruption("shard chunk carries rows for an absent column");
   }
-  // Exact-length check before reading the payload, so truncated and
-  // padded frames both fail the same way the fixed-width decoders do.
-  size_t fixed = sizeof(uint32_t) + 7 * sizeof(uint64_t);
-  if (frame.size() != fixed + row_count * sizeof(double)) {
-    return Status::Corruption("shard chunk length mismatch");
-  }
-  m.rows.resize(row_count);
-  for (uint64_t i = 0; i < row_count; ++i) {
-    ISLA_RETURN_NOT_OK(r.GetF64(&m.rows[i]));
-  }
-  ISLA_RETURN_NOT_OK(r.Finish());
   // CRC-verify the payload last: a flipped bit anywhere in the rows is
   // Corruption here, before a single damaged row can be written to disk.
-  uint32_t crc = storage::Crc32(m.rows.data(), m.rows.size() * sizeof(double));
-  if (crc != static_cast<uint32_t>(m.crc)) {
+  if (storage::Crc32(m.rows.data(), rows * sizeof(double)) !=
+      static_cast<uint32_t>(m.crc)) {
     return Status::Corruption("shard chunk payload fails its CRC");
   }
+  return Status::OK();
+}
+
+template <class M>
+std::string EncodeFrame(MessageType type, const M& m) {
+  Encoder io(type);
+  Layout(io, m);
+  return io.Take();
+}
+
+/// Tag check, layout, exact length, then the frame's value rules.
+template <class M>
+Result<M> DecodeFrame(MessageType type, const std::string& frame) {
+  Decoder io(frame, type);
+  M m;
+  Layout(io, m);
+  ISLA_RETURN_NOT_OK(io.Finish());
+  ISLA_RETURN_NOT_OK(Check(m));
   return m;
+}
+
+}  // namespace
+
+std::string Encode(const PilotRequest& m) {
+  return EncodeFrame(MessageType::kPilotRequest, m);
+}
+std::string Encode(const PilotResponse& m) {
+  return EncodeFrame(MessageType::kPilotResponse, m);
+}
+std::string Encode(const QueryPlan& m) {
+  return EncodeFrame(MessageType::kQueryPlan, m);
+}
+std::string Encode(const PartialResult& m) {
+  return EncodeFrame(MessageType::kPartialResult, m);
+}
+std::string Encode(const GroupedScanRequest& m) {
+  return EncodeFrame(MessageType::kGroupedScanRequest, m);
+}
+std::string Encode(const GroupedScanResponse& m) {
+  return EncodeFrame(MessageType::kGroupedScanResponse, m);
+}
+std::string Encode(const SketchScanRequest& m) {
+  return EncodeFrame(MessageType::kSketchScanRequest, m);
+}
+std::string Encode(const SketchScanResponse& m) {
+  return EncodeFrame(MessageType::kSketchScanResponse, m);
+}
+std::string Encode(const ErrorFrame& m) {
+  return EncodeFrame(MessageType::kError, m);
+}
+std::string Encode(const RegisterFrame& m) {
+  return EncodeFrame(MessageType::kRegister, m);
+}
+std::string Encode(const RegisterAck& m) {
+  return EncodeFrame(MessageType::kRegisterAck, m);
+}
+std::string Encode(const ShardFetchRequest& m) {
+  return EncodeFrame(MessageType::kShardFetchRequest, m);
+}
+std::string Encode(const ShardBlockChunk& m) {
+  return EncodeFrame(MessageType::kShardBlockChunk, m);
+}
+
+Result<MessageType> PeekType(const std::string& frame) {
+  wire::Reader r(frame);
+  const uint32_t tag = r.U32();
+  if (!r.ok()) return Status::Corruption("frame shorter than a type tag");
+  if (tag < 1 || tag > static_cast<uint32_t>(kLastMessageType)) {
+    return Status::Corruption("unknown message type tag");
+  }
+  return static_cast<MessageType>(tag);
+}
+
+Result<PilotRequest> DecodePilotRequest(const std::string& frame) {
+  return DecodeFrame<PilotRequest>(MessageType::kPilotRequest, frame);
+}
+Result<PilotResponse> DecodePilotResponse(const std::string& frame) {
+  return DecodeFrame<PilotResponse>(MessageType::kPilotResponse, frame);
+}
+Result<QueryPlan> DecodeQueryPlan(const std::string& frame) {
+  return DecodeFrame<QueryPlan>(MessageType::kQueryPlan, frame);
+}
+Result<PartialResult> DecodePartialResult(const std::string& frame) {
+  return DecodeFrame<PartialResult>(MessageType::kPartialResult, frame);
+}
+Result<GroupedScanRequest> DecodeGroupedScanRequest(const std::string& frame) {
+  return DecodeFrame<GroupedScanRequest>(MessageType::kGroupedScanRequest,
+                                         frame);
+}
+Result<GroupedScanResponse> DecodeGroupedScanResponse(
+    const std::string& frame) {
+  return DecodeFrame<GroupedScanResponse>(MessageType::kGroupedScanResponse,
+                                          frame);
+}
+Result<SketchScanRequest> DecodeSketchScanRequest(const std::string& frame) {
+  return DecodeFrame<SketchScanRequest>(MessageType::kSketchScanRequest,
+                                        frame);
+}
+Result<SketchScanResponse> DecodeSketchScanResponse(
+    const std::string& frame) {
+  return DecodeFrame<SketchScanResponse>(MessageType::kSketchScanResponse,
+                                         frame);
+}
+Result<ErrorFrame> DecodeErrorFrame(const std::string& frame) {
+  return DecodeFrame<ErrorFrame>(MessageType::kError, frame);
+}
+Result<RegisterFrame> DecodeRegisterFrame(const std::string& frame) {
+  return DecodeFrame<RegisterFrame>(MessageType::kRegister, frame);
+}
+Result<RegisterAck> DecodeRegisterAck(const std::string& frame) {
+  return DecodeFrame<RegisterAck>(MessageType::kRegisterAck, frame);
+}
+Result<ShardFetchRequest> DecodeShardFetchRequest(const std::string& frame) {
+  return DecodeFrame<ShardFetchRequest>(MessageType::kShardFetchRequest,
+                                        frame);
+}
+Result<ShardBlockChunk> DecodeShardBlockChunk(const std::string& frame) {
+  return DecodeFrame<ShardBlockChunk>(MessageType::kShardBlockChunk, frame);
 }
 
 }  // namespace distributed

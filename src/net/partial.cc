@@ -1,58 +1,22 @@
 #include "net/partial.h"
 
-#include <bit>
 #include <cstring>
+
+#include "util/wire.h"
 
 namespace isla {
 namespace net {
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double GetF64(const unsigned char* p) {
-  return std::bit_cast<double>(GetU64(p));
-}
-
-}  // namespace
-
 std::string EncodePartialFrame(const PartialFrame& frame) {
-  std::string out;
-  out.reserve(kPartialFrameBytes);
-  out.append(kPartialTag, sizeof(kPartialTag));
-  PutU32(&out, frame.round);
-  PutU32(&out, frame.total_rounds);
-  PutU64(&out, frame.samples);
-  PutF64(&out, frame.value);
-  PutF64(&out, frame.ci_half_width);
-  PutF64(&out, frame.confidence);
-  return out;
+  wire::Writer w(kPartialFrameBytes);
+  w.Bytes(kPartialTag, sizeof(kPartialTag));
+  w.U32(frame.round);
+  w.U32(frame.total_rounds);
+  w.U64(frame.samples);
+  w.F64(frame.value);
+  w.F64(frame.ci_half_width);
+  w.F64(frame.confidence);
+  return w.Take();
 }
 
 bool IsPartialFrame(std::string_view payload) {
@@ -64,19 +28,15 @@ Result<PartialFrame> DecodePartialFrame(std::string_view payload) {
   if (!IsPartialFrame(payload)) {
     return Status::Corruption("not a PARTIAL frame");
   }
-  if (payload.size() != kPartialFrameBytes) {
-    return Status::Corruption("PARTIAL frame has wrong size");
-  }
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(payload.data()) +
-      sizeof(kPartialTag);
+  wire::Reader r(payload.substr(sizeof(kPartialTag)));
   PartialFrame frame;
-  frame.round = GetU32(p);
-  frame.total_rounds = GetU32(p + 4);
-  frame.samples = GetU64(p + 8);
-  frame.value = GetF64(p + 16);
-  frame.ci_half_width = GetF64(p + 24);
-  frame.confidence = GetF64(p + 32);
+  frame.round = r.U32();
+  frame.total_rounds = r.U32();
+  frame.samples = r.U64();
+  frame.value = r.F64();
+  frame.ci_half_width = r.F64();
+  frame.confidence = r.F64();
+  ISLA_RETURN_NOT_OK(r.Finish());
   return frame;
 }
 

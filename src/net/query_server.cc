@@ -30,6 +30,10 @@ namespace net {
 
 namespace {
 
+/// Safety tick for the event loops' epoll waits (wakeups are explicit; the
+/// tick only bounds how stale a missed wakeup could ever get).
+constexpr int64_t kTickMillis = 250;
+
 int64_t NowMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -169,8 +173,7 @@ Status QueryServer::Start() {
   started_ = true;
   for (auto& loop : loops_) {
     EventLoop* l = loop.get();
-    loop_threads_.Spawn(
-        [l, tick = options_.tick_millis] { l->Run(tick); });
+    loop_threads_.Spawn([l] { l->Run(kTickMillis); });
   }
   return Status::OK();
 }

@@ -34,9 +34,6 @@ struct QueryServerOptions {
   /// beyond it are answered with an error and closed instead of queued —
   /// a client sees the refusal immediately rather than a hang.
   uint64_t max_sessions = 64;
-  /// Safety tick for the event loops' epoll waits (wakeups are explicit;
-  /// the tick only bounds how stale a missed wakeup could ever get).
-  int64_t tick_millis = 250;
   /// Event-loop reactor threads. Each loop multiplexes its share of the
   /// sessions; 2 loops drive thousands of connections, so this stays small.
   unsigned io_threads = 2;

@@ -11,6 +11,20 @@
 namespace isla {
 namespace net {
 
+namespace {
+
+/// Accept/recv tick; each timeout is a stop-flag check.
+constexpr int64_t kTickMillis = 250;
+
+/// A replica is live while its registration connection is open OR its last
+/// heartbeat is younger than this. The OR matters: liveness follows the
+/// socket (a killed worker vanishes at once via the disconnect), and the age
+/// check only covers the window where a wedged-but-connected worker has
+/// silently stopped heartbeating.
+constexpr int64_t kExpiryMillis = 3'000;
+
+}  // namespace
+
 WorkerRegistry::WorkerRegistry(WorkerRegistryOptions options)
     : options_(options) {}
 
@@ -37,10 +51,10 @@ void WorkerRegistry::Stop() {
 
 void WorkerRegistry::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_->Accept(options_.tick_millis);
+    auto accepted = listener_->Accept(kTickMillis);
     if (!accepted.ok()) continue;  // Timeout tick or shutdown.
     std::unique_ptr<Connection> conn = std::move(*accepted);
-    conn->set_recv_deadline_millis(options_.tick_millis);
+    conn->set_recv_deadline_millis(kTickMillis);
     uint64_t conn_id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     auto shared = std::make_shared<std::unique_ptr<Connection>>(
         std::move(conn));
@@ -168,7 +182,7 @@ bool WorkerRegistry::IsLive(
     const Entry& entry, std::chrono::steady_clock::time_point now) const {
   if (entry.connected) {
     return now - entry.last_seen <=
-           std::chrono::milliseconds(options_.expiry_millis);
+           std::chrono::milliseconds(kExpiryMillis);
   }
   return false;
 }

@@ -23,14 +23,6 @@ namespace net {
 struct WorkerRegistryOptions {
   /// 0 picks an ephemeral port (read it back from port()).
   uint16_t port = 0;
-  /// Accept/recv tick; each timeout is a stop-flag check.
-  int64_t tick_millis = 250;
-  /// A replica is live while its registration connection is open OR its
-  /// last heartbeat is younger than this. The OR matters: liveness follows
-  /// the socket (a killed worker vanishes at once via the disconnect), and
-  /// the age check only covers the window where a wedged-but-connected
-  /// worker has silently stopped heartbeating.
-  int64_t expiry_millis = 3'000;
 };
 
 /// The coordinator-side membership service of the tentpole's dynamic

@@ -12,6 +12,15 @@
 namespace isla {
 namespace net {
 
+namespace {
+
+/// Receive deadline inside a session loop tick. Short, because each timeout
+/// is just a stop-flag check — an idle coordinator connection is kept open
+/// across ticks, not dropped.
+constexpr int64_t kTickMillis = 250;
+
+}  // namespace
+
 WorkerServer::WorkerServer(std::unique_ptr<distributed::Worker> worker,
                            WorkerServerOptions options)
     : worker_(std::move(worker)), options_(options) {}
@@ -51,13 +60,13 @@ void WorkerServer::Stop() {
 
 void WorkerServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_->Accept(options_.tick_millis);
+    auto accepted = listener_->Accept(kTickMillis);
     if (!accepted.ok()) continue;  // Timeout tick or shutdown.
     std::unique_ptr<Connection> conn = std::move(*accepted);
     // The tick bounds only the idle recv wait (a stop-flag check); sends
     // keep the generous default so a large response frame on a slow link
     // is never clipped mid-write.
-    conn->set_recv_deadline_millis(options_.tick_millis);
+    conn->set_recv_deadline_millis(kTickMillis);
     if (options_.fault != FaultMode::kNone) {
       conn = std::make_unique<FaultyConnection>(
           std::move(conn), options_.fault, options_.fault_after_sends,

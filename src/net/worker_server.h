@@ -19,10 +19,6 @@ namespace net {
 struct WorkerServerOptions {
   /// 0 picks an ephemeral port (read it back from port()).
   uint16_t port = 0;
-  /// Receive deadline inside a session loop tick. Short, because each
-  /// timeout is just a stop-flag check — an idle coordinator connection is
-  /// kept open across ticks, not dropped.
-  int64_t tick_millis = 250;
   /// Test-only fault injection: every accepted connection is wrapped in a
   /// FaultyConnection with this mode. Production callers leave kNone.
   FaultMode fault = FaultMode::kNone;

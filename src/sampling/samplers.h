@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "runtime/scratch_arena.h"
 #include "storage/block.h"
@@ -14,47 +13,6 @@
 
 namespace isla {
 namespace sampling {
-
-/// Draws `k` indices uniformly at random *with replacement* from [0, n).
-/// This is the paper's uniform sampling primitive: with n in the billions
-/// and k ≪ n, with/without replacement are statistically indistinguishable
-/// and with-replacement is O(k) with O(1) state.
-std::vector<uint64_t> SampleIndicesWithReplacement(uint64_t n, uint64_t k,
-                                                   Xoshiro256* rng);
-
-/// Draws `k` distinct indices uniformly from [0, n) using Robert Floyd's
-/// algorithm (O(k) expected). Fails when k > n.
-Result<std::vector<uint64_t>> SampleIndicesWithoutReplacement(
-    uint64_t n, uint64_t k, Xoshiro256* rng);
-
-/// Streams a Bernoulli(p) subset of [0, n) using geometric skip sampling:
-/// expected O(np) work independent of n's magnitude. Invokes `emit` for each
-/// selected index in increasing order.
-Status BernoulliSample(uint64_t n, double p,
-                       const std::function<void(uint64_t)>& emit,
-                       Xoshiro256* rng);
-
-/// Classic reservoir sampler: retains a uniform k-subset of a stream of
-/// unknown length.
-class ReservoirSampler {
- public:
-  ReservoirSampler(uint64_t capacity, uint64_t seed);
-
-  /// Offers one stream element.
-  void Offer(double value);
-
-  /// Number of elements offered so far.
-  uint64_t seen() const { return seen_; }
-
-  /// The current reservoir (size = min(capacity, seen)).
-  const std::vector<double>& reservoir() const { return reservoir_; }
-
- private:
-  uint64_t capacity_;
-  uint64_t seen_ = 0;
-  std::vector<double> reservoir_;
-  Xoshiro256 rng_;
-};
 
 /// Splits a total sample budget `m` across strata proportionally to their
 /// sizes, using the largest-remainder method so the parts sum exactly to m.
@@ -78,7 +36,9 @@ inline constexpr uint64_t kGatherBatch = 4096;
 /// Fills `out` (resized to `count`) with uniform indices in [0, n), drawn
 /// with replacement in sequence order. Exactly `count` NextBounded(n) calls
 /// — the single definition of the index stream every sampler consumes, so
-/// batched and value-at-a-time execution see identical RNG state.
+/// batched and value-at-a-time execution see identical RNG state. With n in
+/// the billions and count ≪ n, sampling with and without replacement are
+/// statistically indistinguishable, and with replacement needs no state.
 void GenerateUniformIndices(uint64_t n, uint64_t count, Xoshiro256* rng,
                             std::vector<uint64_t>* out);
 
@@ -118,18 +78,6 @@ class BlockSampleStream {
 Status SampleBlockValues(const storage::Block& block, uint64_t k,
                          const std::function<void(double)>& visit,
                          Xoshiro256* rng);
-
-/// Convenience: materializes `k` uniform samples from `block`.
-Result<std::vector<double>> DrawBlockSample(const storage::Block& block,
-                                            uint64_t k, Xoshiro256* rng);
-
-/// Batch analogue of DrawBlockSample writing into caller-owned storage:
-/// fills `out` (resized to k) with the identical sample sequence, using
-/// `scratch` (nullable) for the index batches. Steady state allocates
-/// nothing beyond `out`'s capacity.
-Status DrawBlockSampleInto(const storage::Block& block, uint64_t k,
-                           Xoshiro256* rng, runtime::ScratchArena* scratch,
-                           std::vector<double>* out);
 
 }  // namespace sampling
 }  // namespace isla

@@ -236,14 +236,6 @@ TEST(BlockSampleStream, ConcatenatedBatchesMatchVisitOrder) {
     streamed.insert(streamed.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(streamed, visited);
-
-  // DrawBlockSampleInto produces the same sequence again.
-  Xoshiro256 rng_c(99);
-  std::vector<double> drawn;
-  ASSERT_TRUE(
-      sampling::DrawBlockSampleInto(block, 10000, &rng_c, &arena, &drawn)
-          .ok());
-  EXPECT_EQ(drawn, visited);
 }
 
 TEST(BlockSampleStream, EmptyBlockAndNullRngFail) {

@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "sampling/samplers.h"
@@ -14,165 +11,6 @@
 namespace isla {
 namespace sampling {
 namespace {
-
-TEST(WithReplacement, CountAndRange) {
-  Xoshiro256 rng(1);
-  auto idx = SampleIndicesWithReplacement(100, 50, &rng);
-  EXPECT_EQ(idx.size(), 50u);
-  for (uint64_t i : idx) EXPECT_LT(i, 100u);
-}
-
-TEST(WithReplacement, EmptyPopulation) {
-  Xoshiro256 rng(2);
-  EXPECT_TRUE(SampleIndicesWithReplacement(0, 10, &rng).empty());
-}
-
-TEST(WithReplacement, CoarselyUniform) {
-  Xoshiro256 rng(3);
-  std::vector<int> counts(10, 0);
-  auto idx = SampleIndicesWithReplacement(10, 100000, &rng);
-  for (uint64_t i : idx) ++counts[i];
-  for (int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c), 10000.0, 5.0 * std::sqrt(10000.0));
-  }
-}
-
-TEST(WithoutReplacement, DistinctAndInRange) {
-  Xoshiro256 rng(4);
-  auto idx = SampleIndicesWithoutReplacement(1000, 100, &rng);
-  ASSERT_TRUE(idx.ok());
-  std::set<uint64_t> unique(idx->begin(), idx->end());
-  EXPECT_EQ(unique.size(), 100u);
-  for (uint64_t i : *idx) EXPECT_LT(i, 1000u);
-}
-
-TEST(WithoutReplacement, FullPopulation) {
-  Xoshiro256 rng(5);
-  auto idx = SampleIndicesWithoutReplacement(50, 50, &rng);
-  ASSERT_TRUE(idx.ok());
-  std::set<uint64_t> unique(idx->begin(), idx->end());
-  EXPECT_EQ(unique.size(), 50u);
-}
-
-TEST(WithoutReplacement, KGreaterThanNFails) {
-  Xoshiro256 rng(6);
-  EXPECT_FALSE(SampleIndicesWithoutReplacement(10, 11, &rng).ok());
-}
-
-namespace {
-
-/// The pre-flat-set reference: Floyd's algorithm with std::unordered_set
-/// membership, exactly as the original implementation wrote it. The
-/// production flat probe table must emit the identical sequence for the
-/// identical RNG stream.
-std::vector<uint64_t> FloydReference(uint64_t n, uint64_t k,
-                                     Xoshiro256* rng) {
-  std::unordered_set<uint64_t> chosen;
-  chosen.reserve(static_cast<size_t>(k) * 2);
-  std::vector<uint64_t> out;
-  out.reserve(k);
-  for (uint64_t j = n - k; j < n; ++j) {
-    uint64_t t = rng->NextBounded(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-TEST(WithoutReplacement, FlatSetMatchesUnorderedSetReference) {
-  // Identical output *sequence* (not just set) across population sizes,
-  // densities (k == n forces maximal collisions), and seeds.
-  const struct {
-    uint64_t n;
-    uint64_t k;
-  } cases[] = {{1, 1},     {10, 10},     {100, 99},    {1000, 17},
-               {1000, 1000}, {1 << 20, 4096}, {54321, 1234}};
-  for (const auto& c : cases) {
-    for (uint64_t seed = 0; seed < 8; ++seed) {
-      Xoshiro256 rng_ref(seed);
-      Xoshiro256 rng_new(seed);
-      auto expected = FloydReference(c.n, c.k, &rng_ref);
-      auto got = SampleIndicesWithoutReplacement(c.n, c.k, &rng_new);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, expected)
-          << "n=" << c.n << " k=" << c.k << " seed=" << seed;
-    }
-  }
-}
-
-TEST(Bernoulli, ZeroAndOneProbabilities) {
-  Xoshiro256 rng(7);
-  int count = 0;
-  ASSERT_TRUE(
-      BernoulliSample(1000, 0.0, [&](uint64_t) { ++count; }, &rng).ok());
-  EXPECT_EQ(count, 0);
-  ASSERT_TRUE(
-      BernoulliSample(1000, 1.0, [&](uint64_t) { ++count; }, &rng).ok());
-  EXPECT_EQ(count, 1000);
-}
-
-TEST(Bernoulli, ExpectedCount) {
-  Xoshiro256 rng(8);
-  int count = 0;
-  ASSERT_TRUE(
-      BernoulliSample(1000000, 0.01, [&](uint64_t) { ++count; }, &rng).ok());
-  EXPECT_NEAR(static_cast<double>(count), 10000.0, 500.0);
-}
-
-TEST(Bernoulli, IndicesStrictlyIncreasing) {
-  Xoshiro256 rng(9);
-  uint64_t prev = 0;
-  bool first = true;
-  ASSERT_TRUE(BernoulliSample(
-                  100000, 0.05,
-                  [&](uint64_t i) {
-                    if (!first) {
-                      EXPECT_GT(i, prev);
-                    }
-                    prev = i;
-                    first = false;
-                  },
-                  &rng)
-                  .ok());
-}
-
-TEST(Bernoulli, RejectsBadProbability) {
-  Xoshiro256 rng(10);
-  EXPECT_FALSE(BernoulliSample(10, -0.1, [](uint64_t) {}, &rng).ok());
-  EXPECT_FALSE(BernoulliSample(10, 1.1, [](uint64_t) {}, &rng).ok());
-}
-
-TEST(Reservoir, KeepsAllWhenUnderCapacity) {
-  ReservoirSampler r(10, 1);
-  for (int i = 0; i < 5; ++i) r.Offer(static_cast<double>(i));
-  EXPECT_EQ(r.reservoir().size(), 5u);
-  EXPECT_EQ(r.seen(), 5u);
-}
-
-TEST(Reservoir, CapsAtCapacity) {
-  ReservoirSampler r(10, 2);
-  for (int i = 0; i < 1000; ++i) r.Offer(static_cast<double>(i));
-  EXPECT_EQ(r.reservoir().size(), 10u);
-  EXPECT_EQ(r.seen(), 1000u);
-}
-
-TEST(Reservoir, UniformInclusionProbability) {
-  // Element 0's inclusion frequency across many runs ≈ k/n.
-  int included = 0;
-  const int runs = 2000;
-  for (int run = 0; run < runs; ++run) {
-    ReservoirSampler r(5, static_cast<uint64_t>(run));
-    for (int i = 0; i < 50; ++i) r.Offer(i == 0 ? -1.0 : 1.0);
-    for (double v : r.reservoir()) included += (v == -1.0);
-  }
-  EXPECT_NEAR(static_cast<double>(included) / runs, 0.1, 0.03);
-}
 
 TEST(Proportional, ExactTotalAndProportions) {
   auto alloc = ProportionalAllocation({100, 200, 700}, 100);
@@ -234,16 +72,23 @@ TEST(SampleBlockValues, NullRngFails) {
       SampleBlockValues(block, 1, [](double) {}, nullptr).IsInvalidArgument());
 }
 
-TEST(DrawBlockSample, MeanConverges) {
+TEST(SampleBlockValues, MeanConverges) {
   std::vector<double> values;
   for (int i = 0; i < 1000; ++i) values.push_back(static_cast<double>(i));
   storage::MemoryBlock block(std::move(values));
   Xoshiro256 rng(13);
-  auto sample = DrawBlockSample(block, 100000, &rng);
-  ASSERT_TRUE(sample.ok());
   double sum = 0.0;
-  for (double v : *sample) sum += v;
-  EXPECT_NEAR(sum / static_cast<double>(sample->size()), 499.5, 10.0);
+  uint64_t visits = 0;
+  ASSERT_TRUE(SampleBlockValues(
+                  block, 100000,
+                  [&](double v) {
+                    sum += v;
+                    ++visits;
+                  },
+                  &rng)
+                  .ok());
+  ASSERT_EQ(visits, 100000u);
+  EXPECT_NEAR(sum / static_cast<double>(visits), 499.5, 10.0);
 }
 
 }  // namespace

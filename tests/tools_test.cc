@@ -1,9 +1,10 @@
 // Integration tests for the command-line tools: isla_shell (driven through
 // a pipe), isla_import (via system()), and the isla_serverd/isla_client
-// network pair (daemons started in the background on ephemeral ports).
+// network pair (daemons on ephemeral ports, stopped before each test ends).
 // These exercise the binaries end to end, the way a user would.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -147,18 +148,39 @@ TEST(FlagParsing, GarbageNumericFlagsAreFatalUsageErrors) {
 // isla_serverd / isla_client: the network daemons end to end.
 // ---------------------------------------------------------------------------
 
-/// Starts `command` in the background with its stdin held open for
-/// `lifetime_seconds` (the daemon exits at stdin EOF) and stdout captured
-/// to `stdout_file`. The subshell's own streams are detached from the
-/// test process — otherwise ctest waits on the inherited pipe for the
-/// daemon's whole lifetime.
-void StartDaemon(const std::string& command, const fs::path& stdout_file,
-                 int lifetime_seconds) {
-  std::string full = "( sleep " + std::to_string(lifetime_seconds) + " | " +
-                     command + " > " + stdout_file.string() +
-                     " 2>&1 ) < /dev/null > /dev/null 2>&1 &";
-  int rc = std::system(full.c_str());
-  ASSERT_EQ(rc, 0) << full;
+/// A daemon whose stdin is a pipe this test holds, with stdout and stderr
+/// captured to `log`. isla_serverd exits at stdin EOF, so Stop() (or the
+/// destructor, when an assertion returns early) closes the pipe and waits
+/// until the daemon is gone; no daemon outlives its test.
+class Daemon {
+ public:
+  Daemon(const std::string& command, const fs::path& log)
+      : stdin_(::popen((command + " > " + log.string() + " 2>&1").c_str(),
+                       "w")) {}
+  Daemon(const Daemon&) = delete;
+  Daemon& operator=(const Daemon&) = delete;
+  ~Daemon() { Stop(); }
+
+  /// Closes the daemon's stdin and waits for it to exit. Returns the wait
+  /// status: 0 for a clean exit, -1 if it never started or already stopped.
+  int Stop() {
+    if (stdin_ == nullptr) return -1;
+    int status = ::pclose(stdin_);
+    stdin_ = nullptr;
+    return status;
+  }
+
+ private:
+  FILE* stdin_;
+};
+
+/// A scratch directory private to this test process, so concurrent runs
+/// from two build trees never share logs or shard files.
+fs::path TestDir(const std::string& name) {
+  fs::path dir = fs::temp_directory_path() /
+                 (name + "_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  return dir;
 }
 
 /// Polls the daemon's stdout for "listening on 127.0.0.1:PORT" and
@@ -178,12 +200,10 @@ int WaitForPort(const fs::path& stdout_file) {
 }
 
 TEST(IslaServerd, QueryServerSessionOverTcp) {
-  fs::path dir = fs::temp_directory_path() / "isla_serverd_test";
-  fs::create_directories(dir);
+  fs::path dir = TestDir("isla_serverd_test");
   fs::path log = dir / "serverd.out";
 
-  StartDaemon(ToolPath("isla_serverd") + " --port 0 --precision 0.4", log,
-              20);
+  Daemon daemon(ToolPath("isla_serverd") + " --port 0 --precision 0.4", log);
   int port = WaitForPort(log);
   ASSERT_GT(port, 0) << "daemon never reported its port";
 
@@ -198,12 +218,12 @@ TEST(IslaServerd, QueryServerSessionOverTcp) {
   EXPECT_NE(out.find("precision = 0.4"), std::string::npos) << out;
   EXPECT_NE(out.find("AVG = "), std::string::npos) << out;
   EXPECT_NE(out.find("bye"), std::string::npos) << out;
+  EXPECT_EQ(daemon.Stop(), 0);
   fs::remove_all(dir);
 }
 
 TEST(IslaServerd, WorkerDaemonsServeDistributedAvg) {
-  fs::path dir = fs::temp_directory_path() / "isla_workerd_test";
-  fs::create_directories(dir);
+  fs::path dir = TestDir("isla_workerd_test");
 
   // Two shards with known means: 2 rows at 10, 2 rows at 30 → AVG 20.
   std::vector<double> shard0 = {10.0, 10.0, 10.0, 10.0};
@@ -215,12 +235,12 @@ TEST(IslaServerd, WorkerDaemonsServeDistributedAvg) {
 
   fs::path log0 = dir / "w0.out";
   fs::path log1 = dir / "w1.out";
-  StartDaemon(ToolPath("isla_serverd") + " --worker --shard " +
-                  islb0.string() + " --worker-id 0 --port 0",
-              log0, 20);
-  StartDaemon(ToolPath("isla_serverd") + " --worker --shard " +
-                  islb1.string() + " --worker-id 1 --port 0",
-              log1, 20);
+  Daemon worker0(ToolPath("isla_serverd") + " --worker --shard " +
+                     islb0.string() + " --worker-id 0 --port 0",
+                 log0);
+  Daemon worker1(ToolPath("isla_serverd") + " --worker --shard " +
+                     islb1.string() + " --worker-id 1 --port 0",
+                 log1);
   int port0 = WaitForPort(log0);
   int port1 = WaitForPort(log1);
   ASSERT_GT(port0, 0);
@@ -237,6 +257,8 @@ TEST(IslaServerd, WorkerDaemonsServeDistributedAvg) {
   ASSERT_NE(at, std::string::npos) << out;
   EXPECT_NEAR(std::strtod(out.c_str() + at + 6, nullptr), 20.0, 0.5) << out;
   EXPECT_NE(out.find("rows=8"), std::string::npos) << out;
+  EXPECT_EQ(worker0.Stop(), 0);
+  EXPECT_EQ(worker1.Stop(), 0);
   fs::remove_all(dir);
 }
 
@@ -245,8 +267,7 @@ TEST(IslaServerd, ReplicaGroupsFailOverPastDeadPreferredReplicas) {
   // shards pointing at a dead port (nothing listens on 127.0.0.1:1): the
   // client must fail over to the live replica of each shard and still
   // produce the exact same answer — and report the failovers it took.
-  fs::path dir = fs::temp_directory_path() / "isla_replicas_test";
-  fs::create_directories(dir);
+  fs::path dir = TestDir("isla_replicas_test");
 
   std::vector<double> shard0 = {10.0, 10.0, 10.0, 10.0};
   std::vector<double> shard1 = {30.0, 30.0, 30.0, 30.0};
@@ -257,12 +278,12 @@ TEST(IslaServerd, ReplicaGroupsFailOverPastDeadPreferredReplicas) {
 
   fs::path log0 = dir / "w0.out";
   fs::path log1 = dir / "w1.out";
-  StartDaemon(ToolPath("isla_serverd") + " --worker --shard " +
-                  islb0.string() + " --worker-id 0 --port 0",
-              log0, 20);
-  StartDaemon(ToolPath("isla_serverd") + " --worker --shard " +
-                  islb1.string() + " --worker-id 1 --port 0",
-              log1, 20);
+  Daemon worker0(ToolPath("isla_serverd") + " --worker --shard " +
+                     islb0.string() + " --worker-id 0 --port 0",
+                 log0);
+  Daemon worker1(ToolPath("isla_serverd") + " --worker --shard " +
+                     islb1.string() + " --worker-id 1 --port 0",
+                 log1);
   int port0 = WaitForPort(log0);
   int port1 = WaitForPort(log1);
   ASSERT_GT(port0, 0);
@@ -281,6 +302,8 @@ TEST(IslaServerd, ReplicaGroupsFailOverPastDeadPreferredReplicas) {
   ASSERT_NE(fo, std::string::npos) << out;
   EXPECT_GT(std::atoi(out.c_str() + fo + 10), 0) << out;
   EXPECT_NE(out.find("exhausted=0"), std::string::npos) << out;
+  EXPECT_EQ(worker0.Stop(), 0);
+  EXPECT_EQ(worker1.Stop(), 0);
   fs::remove_all(dir);
 }
 

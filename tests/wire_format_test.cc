@@ -17,11 +17,13 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "distributed/message.h"
 #include "stats/sketch.h"
 #include "net/frame.h"
 #include "net/partial.h"
+#include "util/wire.h"
 
 namespace isla {
 namespace distributed {
@@ -704,6 +706,71 @@ TEST(WireFormat, PartialFrameRejectsTruncationAndTrailingBytes) {
   EXPECT_TRUE(net::DecodePartialFrame("partial?" + frame.substr(8))
                   .status()
                   .IsCorruption());
+}
+
+// ---------------------------------------------------------------------------
+// The reader and writer every frame codec goes through.
+// ---------------------------------------------------------------------------
+
+TEST(WireReader, ReadPastTheEndIsCorruptionAndZeroFills) {
+  const std::string bytes("\x01\x02\x03", 3);
+  wire::Reader r(bytes);
+  EXPECT_EQ(r.U32(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.Finish().IsCorruption());
+  double out = 1.5;
+  r.Bytes(&out, sizeof(out));
+  EXPECT_EQ(out, 0.0);
+}
+
+TEST(WireReader, FirstFailureSticks) {
+  wire::Writer w;
+  w.U64(7);
+  w.F64(2.5);
+  const std::string bytes = w.Take();
+  wire::Reader r(bytes);
+  r.Fail("first failure");
+  // The bytes are there, but nothing is read after a failure.
+  EXPECT_EQ(r.U64(), 0u);
+  EXPECT_EQ(r.F64(), 0.0);
+  r.Fail("second failure");
+  const Status status = r.Finish();
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_EQ(status.message(), "first failure");
+}
+
+TEST(WireReader, FinishReportsTrailingBytes) {
+  wire::Writer w;
+  w.U64(42);
+  w.U32(7);
+  const std::string bytes = w.Take();
+  wire::Reader r(bytes);
+  EXPECT_EQ(r.U64(), 42u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.Finish().IsCorruption());
+  EXPECT_EQ(r.U32(), 7u);
+  EXPECT_TRUE(r.Finish().ok());
+}
+
+TEST(WireReader, ZeroLengthReadsAndEmptyWritesDoNothing) {
+  // An empty vector's data() may be null; copying zero bytes from or to it
+  // must not reach memcpy.
+  std::vector<double> empty;
+  wire::Writer w;
+  w.Bytes(empty.data(), 0);
+  const std::string bytes = w.Take();
+  EXPECT_TRUE(bytes.empty());
+  wire::Reader r(bytes);
+  r.Bytes(empty.data(), 0);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.Finish().ok());
+
+  // The same through a frame: an absent column's chunk carries no rows.
+  ShardBlockChunk absent;
+  absent.column = kShardColumnKeys;
+  auto decoded = DecodeShardBlockChunk(Encode(absent));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->rows.empty());
 }
 
 }  // namespace
