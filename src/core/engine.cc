@@ -18,15 +18,9 @@ Result<AggregateResult> IslaEngine::AggregateAvg(const storage::Column& column,
 
   Xoshiro256 rng(SplitMix64::Hash(options_.seed, seed_salt));
 
-  // --- Pre-estimation module --- (the lease's scope returns the pilot's
-  // warmed arena to the pool before the Calculation workers acquire theirs)
-  PilotEstimate pilot;
-  {
-    runtime::ScratchPool::Lease pilot_lease;
-    if (scratch_ != nullptr) pilot_lease = scratch_->Acquire();
-    ISLA_ASSIGN_OR_RETURN(
-        pilot, RunPreEstimation(column, options_, &rng, pilot_lease.get()));
-  }
+  // --- Pre-estimation module ---
+  ISLA_ASSIGN_OR_RETURN(PilotEstimate pilot,
+                        RunPreEstimation(column, options_, &rng, scratch_));
 
   AggregateResult res;
   res.data_size = column.num_rows();

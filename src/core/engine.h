@@ -52,7 +52,8 @@ struct AggregateResult {
 /// Summarization (§II-C), for i.i.d. blocks. Non-i.i.d. data uses
 /// core/noniid.h; incremental refinement uses core/online.h.
 ///
-/// The Calculation phase runs blocks concurrently across
+/// The Calculation phase, and each pilot phase that draws at least one
+/// gather batch per block, runs blocks concurrently across
 /// options().parallelism threads (blocks are independent shards). In every
 /// sampling phase each block draws from its own RNG stream (see
 /// kSigmaPilotSalt) and per-block results merge in block order, so the

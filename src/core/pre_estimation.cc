@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "runtime/kernels/kernels.h"
+#include "runtime/parallel_for.h"
 #include "sampling/samplers.h"
 #include "stats/confidence.h"
 
@@ -71,7 +73,7 @@ double ComputeShift(double min_value, double sigma) {
 Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
                                        const IslaOptions& options,
                                        Xoshiro256* rng,
-                                       runtime::ScratchArena* scratch) {
+                                       runtime::ScratchPool* scratch) {
   ISLA_RETURN_NOT_OK(options.Validate());
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
   if (column.num_rows() == 0) {
@@ -80,18 +82,28 @@ Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
   const uint64_t base = rng->Next();
   const size_t n_blocks = column.num_blocks();
 
-  // Draws one phase block by block, merging in block order.
+  // Draws one phase into per-block slots, then merges them in block order.
+  // Below one gather batch per block the phase stays on the caller.
   auto draw_phase =
       [&](uint64_t phase_salt,
           const std::vector<uint64_t>& shares) -> Result<PilotDraw> {
     const uint64_t phase_seed = SplitMix64::Hash(base, phase_salt);
+    const uint64_t rows =
+        std::accumulate(shares.begin(), shares.end(), uint64_t{0});
+    const uint32_t parallelism =
+        rows >= n_blocks * sampling::kGatherBatch ? options.parallelism : 1;
+    std::vector<PilotDraw> slots(n_blocks);
+    ISLA_RETURN_NOT_OK(runtime::ParallelFor(
+        n_blocks, parallelism, [&](uint64_t j) -> Status {
+          runtime::ScratchPool::Lease lease;
+          if (scratch != nullptr) lease = scratch->Acquire();
+          ISLA_ASSIGN_OR_RETURN(slots[j],
+                                DrawBlockPilot(*column.blocks()[j], shares[j],
+                                               phase_seed, j, lease.get()));
+          return Status::OK();
+        }));
     PilotDraw merged;
-    for (size_t j = 0; j < n_blocks; ++j) {
-      ISLA_ASSIGN_OR_RETURN(PilotDraw draw,
-                            DrawBlockPilot(*column.blocks()[j], shares[j],
-                                           phase_seed, j, scratch));
-      merged.Merge(draw);
-    }
+    for (const PilotDraw& draw : slots) merged.Merge(draw);
     return merged;
   };
 
@@ -127,6 +139,14 @@ Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
   out.sampling_rate = static_cast<double>(out.target_sample_size) /
                       static_cast<double>(column.num_rows());
   return out;
+}
+
+Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
+                                       const IslaOptions& options,
+                                       Xoshiro256* rng,
+                                       runtime::ScratchArena* /*scratch*/) {
+  return RunPreEstimation(column, options, rng,
+                          static_cast<runtime::ScratchPool*>(nullptr));
 }
 
 }  // namespace core

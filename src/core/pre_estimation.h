@@ -103,13 +103,29 @@ struct PilotEstimate {
 /// proportional to block sizes (§III-B), each block on its own stream
 /// derived from one draw of `rng` (see kSigmaPilotSalt), merges the draws
 /// in block order, then sizes the main pass. Fails on empty columns or
-/// invalid options. `scratch` (nullable) receives the pilot's gather
-/// batches so repeated queries reuse one warmed arena.
+/// invalid options.
+///
+/// A phase that draws at least one gather batch per block on average
+/// (sampling::kGatherBatch rows) runs its blocks through runtime::ParallelFor
+/// at options.parallelism; a smaller one draws on the calling thread, where
+/// the hop to the pool would cost more than the draw. Either way block j
+/// writes slot j and the slots merge in block order after the loop, so the
+/// estimate is bit-identical for every thread count. Each block leases its
+/// gather arena from `scratch` (nullable), so repeated queries reuse warmed
+/// arenas.
 Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
                                        const IslaOptions& options,
                                        Xoshiro256* rng,
-                                       runtime::ScratchArena* scratch =
+                                       runtime::ScratchPool* scratch =
                                            nullptr);
+
+/// Forwards to the pool overload with no pool; `scratch` goes unused. Kept
+/// only because bench_suite's traced rebuild of AggregateAvg
+/// (bench_suite/avg_dram.cc) still passes one leased arena.
+Result<PilotEstimate> RunPreEstimation(const storage::Column& column,
+                                       const IslaOptions& options,
+                                       Xoshiro256* rng,
+                                       runtime::ScratchArena* scratch);
 
 }  // namespace core
 }  // namespace isla

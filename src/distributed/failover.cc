@@ -36,7 +36,44 @@ FailoverTransport::FailoverTransport(
       options_(options),
       outstanding_(inner->size()) {}
 
-FailoverTransport::~FailoverTransport() { racers_.JoinAll(); }
+FailoverTransport::~FailoverTransport() {
+  {
+    std::lock_guard<std::mutex> lock(race_mu_);
+    stop_ = true;
+  }
+  race_cv_.notify_all();
+  racers_.JoinAll();
+}
+
+void FailoverTransport::Race(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(race_mu_);
+    race_tasks_.push_back(std::move(task));
+    // Every queued task needs a racer of its own: a straggling primary
+    // must not hold up the hedge queued behind it.
+    if (idle_racers_ >= race_tasks_.size()) {
+      race_cv_.notify_one();
+      return;
+    }
+  }
+  racers_.Spawn([this] { RacerLoop(); });
+}
+
+void FailoverTransport::RacerLoop() {
+  std::unique_lock<std::mutex> lock(race_mu_);
+  for (;;) {
+    ++idle_racers_;
+    race_cv_.wait(lock, [this] { return stop_ || !race_tasks_.empty(); });
+    --idle_racers_;
+    if (race_tasks_.empty()) return;  // stopped with nothing left to run
+    std::function<void()> task = std::move(race_tasks_.front());
+    race_tasks_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // frees the race state outside the lock
+    lock.lock();
+  }
+}
 
 FailoverCounters FailoverTransport::failover_snapshot() const {
   FailoverCounters c;
@@ -120,7 +157,7 @@ Result<std::string> FailoverTransport::HedgedCall(uint64_t shard_id,
   };
   auto state = std::make_shared<RaceState>();
 
-  racers_.Spawn([this, state, primary, shard_id, frame]() {
+  Race([this, state, primary, shard_id, frame]() {
     Result<std::string> r = CallOnce(shard_id, primary, frame);
     std::lock_guard<std::mutex> lock(state->mu);
     state->primary_result = std::move(r);
@@ -139,7 +176,7 @@ Result<std::string> FailoverTransport::HedgedCall(uint64_t shard_id,
     hedges_.fetch_add(1, std::memory_order_relaxed);
     GlobalFailoverStats().hedged_requests.fetch_add(1,
                                                     std::memory_order_relaxed);
-    racers_.Spawn([this, state, secondary, shard_id, frame]() {
+    Race([this, state, secondary, shard_id, frame]() {
       Result<std::string> r = CallOnce(shard_id, secondary, frame);
       std::lock_guard<std::mutex> lock2(state->mu);
       state->hedge_result = std::move(r);

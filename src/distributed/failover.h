@@ -2,7 +2,11 @@
 #define ISLA_DISTRIBUTED_FAILOVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -92,8 +96,10 @@ struct FailoverOptions {
 /// would answer them identically, so retrying only adds latency.
 ///
 /// Thread-safe: Call may run concurrently from the coordinator's fan-out
-/// threads. The destructor joins any hedge threads still racing, so the
-/// inner transport must outlive this object.
+/// threads. A hedged call runs its primary, and its hedge once that fires,
+/// on racer threads that park between calls and are reused across them.
+/// The destructor stops the racers and joins them after any call still
+/// racing, so the inner transport must outlive this object.
 class FailoverTransport : public Transport {
  public:
   /// `placement[s]` lists the inner-transport channels serving shard s,
@@ -119,6 +125,11 @@ class FailoverTransport : public Transport {
   Result<std::string> HedgedCall(uint64_t shard_id, uint64_t primary,
                                  uint64_t secondary,
                                  const std::string& frame);
+  /// Runs `task` on a parked racer, or on a new one when none is idle.
+  void Race(std::function<void()> task);
+  /// A racer's body: runs queued tasks, parking between them, until the
+  /// destructor sets stop_.
+  void RacerLoop();
   uint64_t HedgeDelayMillis() const;
   /// Least-outstanding-requests replica selection: the rotation start for
   /// this call is the replica with the fewest in-flight requests on its
@@ -134,7 +145,6 @@ class FailoverTransport : public Transport {
   FailoverOptions options_;
   /// Successful call latencies, feeding the auto hedge delay.
   stats::LatencyHistogram latency_;
-  runtime::ThreadGroup racers_;
   /// One in-flight counter per inner channel, maintained by CallOnce.
   std::vector<std::atomic<uint64_t>> outstanding_;
 
@@ -143,6 +153,14 @@ class FailoverTransport : public Transport {
   std::atomic<uint64_t> hedges_{0};
   std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> exhausted_{0};
+
+  std::mutex race_mu_;  // guards race_tasks_, idle_racers_ and stop_
+  std::condition_variable race_cv_;
+  std::deque<std::function<void()>> race_tasks_;
+  /// Racers parked in RacerLoop, each free to take one queued task.
+  size_t idle_racers_ = 0;
+  bool stop_ = false;
+  runtime::ThreadGroup racers_;
 };
 
 /// Builds the canonical replicated placement: `n_shards` logical shards

@@ -17,12 +17,14 @@ namespace engine {
 
 namespace {
 
-/// Eq. (1) sample size for the baseline methods, from a quick pilot.
+/// Eq. (1) sample size for the baseline methods, from a quick pilot whose
+/// blocks lease their arenas from `scratch`.
 Result<uint64_t> BaselineSampleSize(const storage::Column& column,
-                                    const core::IslaOptions& options) {
+                                    const core::IslaOptions& options,
+                                    runtime::ScratchPool* scratch) {
   Xoshiro256 rng(SplitMix64::Hash(options.seed, 0xba5e11e));
   ISLA_ASSIGN_OR_RETURN(core::PilotEstimate pilot,
-                        core::RunPreEstimation(column, options, &rng));
+                        core::RunPreEstimation(column, options, &rng, scratch));
   return pilot.target_sample_size == 0 ? uint64_t{2}
                                        : pilot.target_sample_size;
 }
@@ -264,7 +266,8 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec) const {
       break;
     }
     case Method::kUniform: {
-      ISLA_ASSIGN_OR_RETURN(uint64_t m, BaselineSampleSize(*column, options));
+      ISLA_ASSIGN_OR_RETURN(
+          uint64_t m, BaselineSampleSize(*column, options, &scratch_pool_));
       ISLA_ASSIGN_OR_RETURN(
           baselines::BaselineResult r,
           baselines::UniformSamplingAvg(*column, m, method_seed));
@@ -273,7 +276,8 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec) const {
       break;
     }
     case Method::kStratified: {
-      ISLA_ASSIGN_OR_RETURN(uint64_t m, BaselineSampleSize(*column, options));
+      ISLA_ASSIGN_OR_RETURN(
+          uint64_t m, BaselineSampleSize(*column, options, &scratch_pool_));
       ISLA_ASSIGN_OR_RETURN(
           baselines::BaselineResult r,
           baselines::StratifiedSamplingAvg(*column, m, method_seed));
@@ -282,7 +286,8 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec) const {
       break;
     }
     case Method::kMv: {
-      ISLA_ASSIGN_OR_RETURN(uint64_t m, BaselineSampleSize(*column, options));
+      ISLA_ASSIGN_OR_RETURN(
+          uint64_t m, BaselineSampleSize(*column, options, &scratch_pool_));
       ISLA_ASSIGN_OR_RETURN(
           baselines::BaselineResult r,
           baselines::MeasureBiasedAvg(*column, m, method_seed));
@@ -291,7 +296,8 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec) const {
       break;
     }
     case Method::kMvb: {
-      ISLA_ASSIGN_OR_RETURN(uint64_t m, BaselineSampleSize(*column, options));
+      ISLA_ASSIGN_OR_RETURN(
+          uint64_t m, BaselineSampleSize(*column, options, &scratch_pool_));
       ISLA_ASSIGN_OR_RETURN(
           core::DataBoundaries boundaries,
           baselines::PilotBoundaries(*column, options.sigma_pilot_size,

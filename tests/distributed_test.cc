@@ -13,6 +13,7 @@
 #include "distributed/coordinator.h"
 #include "distributed/message.h"
 #include "distributed/worker.h"
+#include "sampling/samplers.h"
 #include "stats/distribution.h"
 #include "storage/block.h"
 #include "util/rng.h"
@@ -530,6 +531,37 @@ TEST(Coordinator, AgreesWithSingleNodeEngine) {
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(dist->average, local->average);
   EXPECT_EQ(dist->sum, local->sum);
+  EXPECT_EQ(dist->sigma_estimate, local->sigma_estimate);
+  EXPECT_EQ(dist->sketch0, local->sketch0);
+  EXPECT_EQ(dist->total_samples, local->total_samples);
+}
+
+TEST(Coordinator, AgreesWithSingleNodeEngineWhenThePilotRunsInParallel) {
+  // At e = 0.05 the engine's sketch pilot draws more than one gather batch
+  // per block, so it runs its blocks on the pool; the workers replay the
+  // same per-block streams, so the answers are still the same bits.
+  auto ds = workload::MakeNormalDataset(4'000'000, 4, 100.0, 20.0, 5151);
+  ASSERT_TRUE(ds.ok());
+
+  std::vector<std::unique_ptr<Worker>> workers;
+  for (uint64_t w = 0; w < 4; ++w) {
+    workers.push_back(
+        std::make_unique<Worker>(w, ds->data()->blocks()[w]));
+  }
+  LoopbackTransport transport(std::move(workers));
+  core::IslaOptions options;
+  options.precision = 0.05;
+  options.parallelism = 4;
+  Coordinator coordinator(&transport, options);
+  auto dist = coordinator.AggregateAvg();
+  ASSERT_TRUE(dist.ok());
+
+  core::IslaEngine engine(options);
+  auto local = engine.AggregateAvg(*ds->data(), /*seed_salt=*/1);
+  ASSERT_TRUE(local.ok());
+  ASSERT_GE(local->pilot_samples,
+            options.sigma_pilot_size + 4 * sampling::kGatherBatch);
+  EXPECT_EQ(dist->average, local->average);
   EXPECT_EQ(dist->sigma_estimate, local->sigma_estimate);
   EXPECT_EQ(dist->sketch0, local->sketch0);
   EXPECT_EQ(dist->total_samples, local->total_samples);

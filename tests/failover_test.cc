@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,6 +226,48 @@ TEST(FailoverTransport, HedgeFailurePlusPrimarySuccessStillSucceeds) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, "ch0");
   EXPECT_EQ(transport.failover_snapshot().hedge_wins, 0u);
+}
+
+/// Answers every call at once and records the kernel thread id of each
+/// caller. Kernel ids, unlike std::thread::id, are not reused as soon as a
+/// thread exits, so they count the threads that ever made a call.
+class ThreadRecordingTransport : public Transport {
+ public:
+  Result<std::string> Call(uint64_t channel,
+                           const std::string& frame) override {
+    (void)frame;
+    std::lock_guard<std::mutex> lock(mu_);
+    tids_.insert(static_cast<long>(::syscall(SYS_gettid)));
+    return std::string("ch") + std::to_string(channel);
+  }
+  size_t size() const override { return 2; }
+
+  size_t distinct_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return tids_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::set<long> tids_;
+};
+
+TEST(FailoverTransport, SequentialHedgedCallsReuseParkedRacers) {
+  // Hedging is on but the hedge never fires: every call's primary runs on
+  // a racer, and sequential calls find one parked instead of starting a
+  // thread each.
+  ThreadRecordingTransport inner;
+  FailoverOptions options = FastOptions();
+  options.enable_hedging = true;
+  options.hedge_delay_millis = 1000;
+  FailoverTransport transport(&inner, {{0, 1}}, options);
+  for (int i = 0; i < 200; ++i) {
+    auto r = transport.Call(0, "req");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "ch0");
+  }
+  EXPECT_LT(inner.distinct_threads(), 10u);
+  EXPECT_EQ(transport.failover_snapshot().hedges, 0u);
 }
 
 TEST(FailoverTransport, RoundRobinPlacementShape) {

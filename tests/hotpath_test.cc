@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
@@ -25,8 +27,11 @@
 
 // --- Allocation-counting hook -------------------------------------------
 // Overriding the global allocator inside this test binary counts every
-// heap allocation the process makes; tests snapshot the counter around the
-// exact region they claim is allocation-free. Single-threaded tests only.
+// heap allocation the process makes, pool threads included; tests snapshot
+// the counter around the exact region they claim is allocation-free. Most
+// run that region on one thread, so nothing else moves the counter;
+// WarmedAggregateAvgAllocationsDoNotGrowWithBlocks counts whole parallel
+// queries, pool threads and all, on purpose.
 //
 // GCC pairs the replaced operator new (malloc-backed) with the library's
 // operator delete during inlining analysis and flags a false mismatch —
@@ -168,6 +173,51 @@ TEST(HotPathAlloc, MmapGatherIsAllocationFree) {
   EXPECT_EQ(after - before, 0) << "mmap gather must be zero-copy, zero-alloc";
   block->reset();
   fs::remove_all(dir);
+}
+
+/// Mean heap allocations per warmed IslaEngine::AggregateAvg (e = 0.05,
+/// parallelism 4, one pool) over the same 1M uniform rows on [50, 150)
+/// split into `blocks` equal blocks. At either split used below, the
+/// ~140K-row sketch pilot draws over one gather batch per block, so it runs
+/// on the pool; each query checks that it did.
+double WarmedAggregateAvgAllocations(uint64_t blocks) {
+  const std::vector<double> values = MakeValues(1'000'000, 5);
+  const size_t rows = values.size() / blocks;
+  storage::Column column("value");
+  for (uint64_t j = 0; j < blocks; ++j) {
+    const auto first = values.begin() + static_cast<ptrdiff_t>(j * rows);
+    EXPECT_TRUE(column
+                    .AppendBlock(std::make_shared<storage::MemoryBlock>(
+                        std::vector<double>(first, first + rows)))
+                    .ok());
+  }
+  core::IslaOptions options;
+  options.precision = 0.05;
+  options.parallelism = 4;
+  runtime::ScratchPool pool;
+  core::IslaEngine engine(options, &pool);
+  auto run = [&](uint64_t salt) {
+    auto r = engine.AggregateAvg(column, salt);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GE(r->pilot_samples,
+              options.sigma_pilot_size + blocks * sampling::kGatherBatch);
+  };
+  constexpr uint64_t kWarmup = 3;
+  constexpr uint64_t kQueries = 8;
+  for (uint64_t salt = 0; salt < kWarmup; ++salt) run(salt);
+  const int64_t before = AllocCount();
+  for (uint64_t salt = kWarmup; salt < kWarmup + kQueries; ++salt) run(salt);
+  return static_cast<double>(AllocCount() - before) / kQueries;
+}
+
+TEST(HotPathAlloc, WarmedAggregateAvgAllocationsDoNotGrowWithBlocks) {
+  // A whole warmed query, pilots and Calculation pass alike, leases its
+  // arenas from the pool: what it allocates is per query (slots, reports,
+  // pool tasks), not per block.
+  const double at_8 = WarmedAggregateAvgAllocations(8);
+  const double at_32 = WarmedAggregateAvgAllocations(32);
+  EXPECT_LT(std::abs(at_32 - at_8), 4.0)
+      << "8 blocks: " << at_8 << ", 32 blocks: " << at_32;
 }
 
 TEST(ScratchReuse, RepeatedQueriesThroughOneExecutorDoNotDrift) {

@@ -1,5 +1,6 @@
-// Tests for the parallel Calculation phase: bit-identical answers across
-// parallelism settings and repeated runs, and the SUM-shaped AggregateSum.
+// Tests for the parallel Calculation phase and pilot: bit-identical answers
+// across parallelism settings and repeated runs, and the SUM-shaped
+// AggregateSum.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,8 @@
 #include "core/engine.h"
 #include "engine/executor.h"
 #include "engine/query.h"
+#include "runtime/scratch_arena.h"
+#include "sampling/samplers.h"
 #include "storage/table.h"
 #include "workload/datasets.h"
 
@@ -80,6 +83,29 @@ TEST(ParallelEngine, SeedSaltStillDecorrelatesUnderParallelism) {
   auto b = engine.AggregateAvg(*ds->data(), /*seed_salt=*/1);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->average, b->average);
+}
+
+TEST(ParallelEngine, ParallelPilotBitIdenticalAcrossParallelism) {
+  // At e = 0.05 the sketch pilot draws more than one gather batch per
+  // block, so it runs its blocks on the pool; the cases above stay below
+  // that and draw their pilots on the calling thread.
+  auto ds = workload::MakeNormalDataset(4'000'000, 8, 100.0, 20.0, 25);
+  ASSERT_TRUE(ds.ok());
+  auto seq = IslaEngine(Defaults(0.05, 1)).AggregateAvg(*ds->data());
+  ASSERT_TRUE(seq.ok());
+  ASSERT_GE(seq->pilot_samples,
+            IslaOptions{}.sigma_pilot_size + 8 * sampling::kGatherBatch);
+  runtime::ScratchPool pool;
+  for (uint32_t parallelism : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(parallelism);
+    auto bare =
+        IslaEngine(Defaults(0.05, parallelism)).AggregateAvg(*ds->data());
+    auto pooled = IslaEngine(Defaults(0.05, parallelism), &pool)
+                      .AggregateAvg(*ds->data());
+    ASSERT_TRUE(bare.ok() && pooled.ok());
+    ExpectIdentical(*seq, *bare);
+    ExpectIdentical(*seq, *pooled);
+  }
 }
 
 TEST(AggregateSum, ReturnsSumShapedResult) {
